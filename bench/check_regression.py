@@ -27,9 +27,12 @@ Usage:
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 
 def resolve(data, path):
@@ -123,6 +126,10 @@ def run(history_dir, fresh_dir, gates_path=None, require_fresh=True):
             else:
                 print(f"skip {name}: not produced by this run")
             continue
+        if not os.path.exists(baseline_path):
+            print(f"FAIL {name}: baseline missing at {baseline_path}")
+            failures += 1
+            continue
         with open(fresh_path) as f:
             fresh_doc = json.load(f)
         with open(baseline_path) as f:
@@ -183,6 +190,29 @@ def self_test():
     except KeyError as error:
         ok, message = True, str(error)
     print(f"{'ok  ' if ok else 'FAIL'} self-test missing path -> {message}")
+    if not ok:
+        return 1
+    return self_test_missing_baseline()
+
+
+def self_test_missing_baseline():
+    """A fresh file without a committed baseline is a FAIL line, not a crash."""
+    with tempfile.TemporaryDirectory() as tmp:
+        history = os.path.join(tmp, "history")
+        fresh = os.path.join(tmp, "fresh")
+        os.makedirs(history)
+        os.makedirs(fresh)
+        with open(os.path.join(history, "gates.json"), "w") as f:
+            json.dump({"files": [{"name": "BENCH_x.json",
+                                  "gates": [{"path": "v", "max_abs": 1}]}]}, f)
+        with open(os.path.join(fresh, "BENCH_x.json"), "w") as f:
+            json.dump({"v": 0}, f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            failures, _ = run(history, fresh)
+    ok = failures == 1 and "FAIL BENCH_x.json: baseline missing" in out.getvalue()
+    print(f"{'ok  ' if ok else 'FAIL'} self-test missing baseline -> "
+          f"{out.getvalue().strip()}")
     return 0 if ok else 1
 
 

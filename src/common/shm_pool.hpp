@@ -107,13 +107,30 @@ class ShmMessagePool {
 
   void release(T* msg) {
     assert(msg != nullptr);
-    push_free(index_of(msg));
+    const Index idx = index_of(msg);
+    push_chain(idx, idx);
     header_->in_use.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  /// Returns `n` cells at once: links them into one chain and pushes
+  /// the chain with a single CAS and a single in_use update, so a batch
+  /// consumer pays the contended head word once per batch, not per cell.
+  void release_n(T* const* msgs, usize n) {
+    if (n == 0) return;
+    const Index first = index_of(msgs[0]);
+    Index last = first;
+    for (usize i = 1; i < n; ++i) {
+      const Index idx = index_of(msgs[i]);
+      cells_[last].next.store(idx, std::memory_order_relaxed);
+      last = idx;
+    }
+    push_chain(first, last);
+    header_->in_use.fetch_sub(static_cast<i64>(n), std::memory_order_relaxed);
   }
 
   void release_index(Index idx) {
     assert(idx < header_->capacity);
-    push_free(idx);
+    push_chain(idx, idx);
     header_->in_use.fetch_sub(1, std::memory_order_relaxed);
   }
 
@@ -171,13 +188,15 @@ class ShmMessagePool {
     }
   }
 
-  void push_free(Index idx) {
+  /// Pushes the pre-linked chain first -> ... -> last.  The release half
+  /// of the CAS publishes the chain's inner links with it.
+  void push_chain(Index first, Index last) {
     u64 head = header_->head.load(std::memory_order_relaxed);
     for (;;) {
-      cells_[idx].next.store(index_part(head), std::memory_order_relaxed);
+      cells_[last].next.store(index_part(head), std::memory_order_relaxed);
       if (header_->head.compare_exchange_weak(
-              head, pack(tag_part(head) + 1, idx), std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
+              head, pack(tag_part(head) + 1, first),
+              std::memory_order_acq_rel, std::memory_order_relaxed)) {
         return;
       }
     }

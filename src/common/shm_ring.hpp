@@ -109,25 +109,27 @@ class ShmSpscRing {
     return true;
   }
 
-  /// Reads the front element WITHOUT consuming it.  Pair with
-  /// commit_pop(): the write-ahead discipline of the journaled shard
-  /// worker (peek → journal → apply → commit) means a crash at any point
-  /// leaves the element either still in the ring or safely in the
-  /// journal — never silently lost.
-  bool try_peek(T* out) const {
+  /// Copies up to `max` front elements into `out`, oldest first, WITHOUT
+  /// consuming them; returns how many.  Pair with commit_pop_n(): the
+  /// write-ahead discipline of the journaled shard worker (peek → journal
+  /// → apply → commit) means a crash at any point leaves each element
+  /// either still in the ring or safely in the journal — never silently
+  /// lost.
+  usize try_peek_n(T* out, usize max) const {
     const u64 tail = header_->tail.value.load(std::memory_order_relaxed);
     const u64 head = header_->head.value.load(std::memory_order_acquire);
-    if (tail == head) return false;
-    *out = slots_[tail & (header_->capacity - 1)];
-    return true;
+    const usize available = static_cast<usize>(head - tail);
+    const usize n = available < max ? available : max;
+    const u64 mask = header_->capacity - 1;
+    for (usize i = 0; i < n; ++i) out[i] = slots_[(tail + i) & mask];
+    return n;
   }
 
-  /// Consumes the element a preceding try_peek returned.  Only call
-  /// after a successful try_peek (single consumer — nobody else moved
-  /// the tail in between).
-  void commit_pop() {
+  /// Consumes the `n` elements a preceding try_peek_n returned (single
+  /// consumer — nobody else moved the tail in between).
+  void commit_pop_n(usize n) {
     const u64 tail = header_->tail.value.load(std::memory_order_relaxed);
-    header_->tail.value.store(tail + 1, std::memory_order_release);
+    header_->tail.value.store(tail + n, std::memory_order_release);
   }
 
   std::optional<T> try_pop() {

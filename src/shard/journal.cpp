@@ -1,8 +1,10 @@
 #include "shard/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <cassert>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -58,6 +60,20 @@ u64 record_digest(const RecordHeader& header, const void* payload_a,
   return h;
 }
 
+RecordHeader make_header(u32 kind, u64 seq, const void* payload_a,
+                         usize bytes_a, const void* payload_b, usize bytes_b) {
+  RecordHeader header;
+  header.magic = kRecordMagic;
+  header.kind = kind;
+  header.seq = seq;
+  header.payload_bytes = static_cast<u32>(bytes_a + bytes_b);
+  header.digest = record_digest(header, payload_a, bytes_a, payload_b,
+                                bytes_b);
+  return header;
+}
+
+constexpr usize kDeltaFrameBytes = sizeof(RecordHeader) + sizeof(ShardMessage);
+
 /// write(2) with EINTR retry; short writes continue from where they
 /// stopped (regular-file writes are short only on ENOSPC-class errors).
 bool write_fully(int fd, const void* data, usize bytes) {
@@ -74,20 +90,88 @@ bool write_fully(int fd, const void* data, usize bytes) {
   return true;
 }
 
-bool pread_fully(int fd, void* data, usize bytes, usize offset) {
-  auto* p = static_cast<unsigned char*>(data);
-  usize done = 0;
-  while (done < bytes) {
-    const ssize_t n = ::pread(fd, p + done, bytes - done,
-                              static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+/// Walks the mapped file image [base, base + bytes): validates every
+/// frame, then delivers the latest snapshot and the deltas after it.
+/// `valid_end` receives the offset where validity ends.
+common::Status scan_image(const unsigned char* base, usize bytes,
+                          usize max_payload,
+                          StateJournal::SnapshotSink on_snapshot,
+                          StateJournal::DeltaSink on_delta,
+                          StateJournal::RecoverResult* result,
+                          usize* valid_end) {
+  // Frames follow arbitrary-length snapshot images, so nothing in the
+  // mapping is aligned: headers and messages are copied out, never cast.
+  const auto header_at = [base](usize offset) {
+    RecordHeader header;
+    std::memcpy(&header, base + offset, sizeof(header));
+    return header;
+  };
+
+  // Pass 1: walk the frames, digest-checking each, remembering the
+  // offset of the newest valid snapshot and where validity ends.
+  usize offset = 0;
+  usize end = 0;
+  usize snapshot_offset = 0;
+  bool have_snapshot = false;
+  while (offset + sizeof(RecordHeader) <= bytes) {
+    const RecordHeader header = header_at(offset);
+    if (header.magic != kRecordMagic) break;
+    if (header.payload_bytes > max_payload) break;
+    if (offset + sizeof(header) + header.payload_bytes > bytes) break;
+    if (record_digest(header, base + offset + sizeof(header),
+                      header.payload_bytes, nullptr, 0) != header.digest) {
+      break;
     }
-    if (n == 0) return false;  // EOF mid-record: torn tail
-    done += static_cast<usize>(n);
+    if (header.kind == kKindSnapshot) {
+      snapshot_offset = offset;
+      have_snapshot = true;
+    } else if (header.kind != kKindDelta) {
+      break;  // unknown kind: stop trusting the file here
+    }
+    result->last_seq = header.seq;
+    offset += sizeof(header) + header.payload_bytes;
+    end = offset;
   }
-  return true;
+  *valid_end = end;
+  result->tail_truncated = end < bytes;
+
+  // Pass 2: deliver the snapshot, then every delta after it.
+  usize replay_offset = 0;
+  if (have_snapshot) {
+    const RecordHeader header = header_at(snapshot_offset);
+    const unsigned char* payload = base + snapshot_offset + sizeof(header);
+    if (header.payload_bytes < sizeof(SnapshotPrefix)) {
+      return common::failed_precondition("journal: snapshot frame too small");
+    }
+    SnapshotPrefix prefix;
+    std::memcpy(&prefix, payload, sizeof(prefix));
+    if (sizeof(SnapshotPrefix) + prefix.book_bytes != header.payload_bytes) {
+      return common::failed_precondition(
+          "journal: snapshot prefix disagrees with frame size");
+    }
+    result->snapshot_seq = header.seq;
+    if (auto st = on_snapshot(header.seq, payload + sizeof(SnapshotPrefix),
+                              static_cast<usize>(prefix.book_bytes),
+                              prefix.risk);
+        !st) {
+      return st;
+    }
+    replay_offset = snapshot_offset + sizeof(header) + header.payload_bytes;
+  }
+  while (replay_offset < end) {
+    const RecordHeader header = header_at(replay_offset);
+    if (header.kind == kKindDelta) {
+      if (header.payload_bytes != sizeof(ShardMessage)) {
+        return common::failed_precondition("journal: delta frame size");
+      }
+      ShardMessage msg;
+      std::memcpy(&msg, base + replay_offset + sizeof(header), sizeof(msg));
+      on_delta(msg);
+      ++result->deltas_replayed;
+    }
+    replay_offset += sizeof(header) + header.payload_bytes;
+  }
+  return common::Status::ok();
 }
 
 }  // namespace
@@ -103,8 +187,7 @@ StateJournal& StateJournal::operator=(StateJournal&& other) noexcept {
     options_ = other.options_;
     fd_ = std::exchange(other.fd_, -1);
     write_offset_ = other.write_offset_;
-    scratch_ = std::move(other.scratch_);
-    scratch_bytes_ = other.scratch_bytes_;
+    batch_buf_ = std::move(other.batch_buf_);
     poisoned_ = other.poisoned_;
     torn_appends_ = other.torn_appends_;
   }
@@ -122,10 +205,8 @@ common::Expected<StateJournal> StateJournal::open(const std::string& path,
   journal.path_ = path;
   journal.options_ = options;
   journal.fd_ = fd;
-  journal.scratch_bytes_ =
-      sizeof(RecordHeader) + sizeof(SnapshotPrefix) +
-      options.max_book_image_bytes;
-  journal.scratch_ = std::make_unique<unsigned char[]>(journal.scratch_bytes_);
+  journal.batch_buf_ =
+      std::make_unique<unsigned char[]>(kMaxBatch * kDeltaFrameBytes);
   const off_t end = ::lseek(fd, 0, SEEK_END);
   journal.write_offset_ = end > 0 ? static_cast<usize>(end) : 0;
   return journal;
@@ -138,84 +219,22 @@ common::Expected<StateJournal::RecoverResult> StateJournal::recover(
 
   const off_t end_off = ::lseek(fd_, 0, SEEK_END);
   const usize file_bytes = end_off > 0 ? static_cast<usize>(end_off) : 0;
-
-  // Pass 1: walk the frames, digest-checking each, remembering the
-  // offset of the newest valid snapshot and where validity ends.
-  usize offset = 0;
   usize valid_end = 0;
-  usize snapshot_offset = 0;
-  bool have_snapshot = false;
-  while (offset + sizeof(RecordHeader) <= file_bytes) {
-    RecordHeader header;
-    if (!pread_fully(fd_, &header, sizeof(header), offset)) break;
-    if (header.magic != kRecordMagic) break;
-    if (header.payload_bytes > scratch_bytes_) break;
-    if (offset + sizeof(header) + header.payload_bytes > file_bytes) break;
-    if (!pread_fully(fd_, scratch_.get(), header.payload_bytes,
-                     offset + sizeof(header))) {
-      break;
+  if (file_bytes > 0) {
+    void* map = ::mmap(nullptr, file_bytes, PROT_READ,
+                       MAP_PRIVATE | MAP_POPULATE, fd_, 0);
+    if (map == MAP_FAILED) {
+      return common::internal_error("journal: mmap failed: " +
+                                    std::string(std::strerror(errno)));
     }
-    if (record_digest(header, scratch_.get(), header.payload_bytes, nullptr,
-                      0) != header.digest) {
-      break;
-    }
-    if (header.kind == kKindSnapshot) {
-      snapshot_offset = offset;
-      have_snapshot = true;
-    } else if (header.kind != kKindDelta) {
-      break;  // unknown kind: stop trusting the file here
-    }
-    result.last_seq = header.seq;
-    offset += sizeof(header) + header.payload_bytes;
-    valid_end = offset;
-  }
-  result.tail_truncated = valid_end < file_bytes;
-
-  // Pass 2: deliver the snapshot, then every delta after it.
-  if (have_snapshot) {
-    RecordHeader header;
-    pread_fully(fd_, &header, sizeof(header), snapshot_offset);
-    pread_fully(fd_, scratch_.get(), header.payload_bytes,
-                snapshot_offset + sizeof(header));
-    if (header.payload_bytes < sizeof(SnapshotPrefix)) {
-      return common::failed_precondition("journal: snapshot frame too small");
-    }
-    SnapshotPrefix prefix;
-    std::memcpy(&prefix, scratch_.get(), sizeof(prefix));
-    if (sizeof(SnapshotPrefix) + prefix.book_bytes != header.payload_bytes) {
-      return common::failed_precondition(
-          "journal: snapshot prefix disagrees with frame size");
-    }
-    result.snapshot_seq = header.seq;
-    if (auto st = on_snapshot(header.seq,
-                              scratch_.get() + sizeof(SnapshotPrefix),
-                              static_cast<usize>(prefix.book_bytes),
-                              prefix.risk);
-        !st) {
-      return st;
-    }
-  }
-  usize replay_offset = have_snapshot ? snapshot_offset : 0;
-  if (have_snapshot) {
-    RecordHeader header;
-    pread_fully(fd_, &header, sizeof(header), snapshot_offset);
-    replay_offset = snapshot_offset + sizeof(header) + header.payload_bytes;
-  }
-  while (replay_offset < valid_end) {
-    RecordHeader header;
-    pread_fully(fd_, &header, sizeof(header), replay_offset);
-    pread_fully(fd_, scratch_.get(), header.payload_bytes,
-                replay_offset + sizeof(header));
-    if (header.kind == kKindDelta) {
-      if (header.payload_bytes != sizeof(ShardMessage)) {
-        return common::failed_precondition("journal: delta frame size");
-      }
-      ShardMessage msg;
-      std::memcpy(&msg, scratch_.get(), sizeof(msg));
-      on_delta(msg);
-      ++result.deltas_replayed;
-    }
-    replay_offset += sizeof(header) + header.payload_bytes;
+    const common::Status st = scan_image(
+        static_cast<const unsigned char*>(map), file_bytes,
+        sizeof(SnapshotPrefix) + options_.max_book_image_bytes, on_snapshot,
+        on_delta, &result, &valid_end);
+    // Unmap before any truncation: a mapped page past the new EOF would
+    // SIGBUS on touch.
+    ::munmap(map, file_bytes);
+    if (!st) return st;
   }
 
   // Cut the torn tail so new appends start on a frame boundary.
@@ -229,57 +248,87 @@ common::Expected<StateJournal::RecoverResult> StateJournal::recover(
   return result;
 }
 
-common::Status StateJournal::append_record(u32 kind, u64 seq,
-                                           const void* payload_a,
-                                           usize bytes_a,
-                                           const void* payload_b,
-                                           usize bytes_b) {
+common::Status StateJournal::append_deltas(const ShardMessage* const* msgs,
+                                           usize n) {
   if (!valid()) return common::failed_precondition("journal not open");
   if (poisoned_) return common::internal_error("journal poisoned (torn)");
-  RecordHeader header;
-  header.magic = kRecordMagic;
-  header.kind = kind;
-  header.seq = seq;
-  header.payload_bytes = static_cast<u32>(bytes_a + bytes_b);
-  header.digest = record_digest(header, payload_a, bytes_a, payload_b,
-                                bytes_b);
-
-  // Chaos: die mid-append — write the header and roughly half the
-  // payload, then refuse all further writes.  Recovery must treat the
-  // result exactly like a SIGKILL between two write(2) calls.
-  if (fault::try_fire(fault::InjectPoint::kJournalTruncate)) {
-    poisoned_ = true;
-    ++torn_appends_;
-    write_fully(fd_, &header, sizeof(header));
-    if (bytes_a > 0) write_fully(fd_, payload_a, bytes_a / 2);
-    return common::internal_error("journal torn by injection");
+  if (n > kMaxBatch) {
+    return common::invalid_argument("journal: batch exceeds kMaxBatch");
   }
+  unsigned char* const buf = batch_buf_.get();
+  unsigned char* p = buf;
+  for (usize i = 0; i < n; ++i) {
+    const ShardMessage& msg = *msgs[i];
+    const RecordHeader header =
+        make_header(kKindDelta, msg.seq, &msg, sizeof(msg), nullptr, 0);
+    std::memcpy(p, &header, sizeof(header));
+    p += sizeof(header);
 
-  if (!write_fully(fd_, &header, sizeof(header)) ||
-      (bytes_a > 0 && !write_fully(fd_, payload_a, bytes_a)) ||
-      (bytes_b > 0 && !write_fully(fd_, payload_b, bytes_b))) {
+    // Chaos: die mid-batch — the records before this one land whole,
+    // this one gets its header and half its payload, and all further
+    // writes are refused.  Recovery must treat the result exactly like a
+    // SIGKILL that cut the batch's write(2) short.
+    if (fault::try_fire(fault::InjectPoint::kJournalTruncate)) {
+      poisoned_ = true;
+      ++torn_appends_;
+      std::memcpy(p, &msg, sizeof(msg) / 2);
+      p += sizeof(msg) / 2;
+      write_fully(fd_, buf, static_cast<usize>(p - buf));
+      return common::internal_error("journal torn by injection");
+    }
+    std::memcpy(p, &msg, sizeof(msg));
+    p += sizeof(msg);
+  }
+  const usize bytes = static_cast<usize>(p - buf);
+  if (!write_fully(fd_, buf, bytes)) {
     return common::internal_error("journal append failed");
   }
-  write_offset_ += sizeof(header) + bytes_a + bytes_b;
+  write_offset_ += bytes;
   if (options_.sync_each_append) ::fdatasync(fd_);
   return common::Status::ok();
 }
 
 common::Status StateJournal::append_delta(u64 seq, const ShardMessage& msg) {
-  return append_record(kKindDelta, seq, &msg, sizeof(msg), nullptr, 0);
+  assert(seq == msg.seq);
+  (void)seq;
+  const ShardMessage* one = &msg;
+  return append_deltas(&one, 1);
 }
 
 common::Status StateJournal::append_snapshot(
     u64 seq, const void* book_image, usize book_bytes,
     const lob::RiskEngine::Snapshot& risk) {
+  if (!valid()) return common::failed_precondition("journal not open");
+  if (poisoned_) return common::internal_error("journal poisoned (torn)");
   if (book_bytes > options_.max_book_image_bytes) {
     return common::invalid_argument("journal: book image exceeds option cap");
   }
   SnapshotPrefix prefix;
   prefix.risk = risk;
   prefix.book_bytes = book_bytes;
-  return append_record(kKindSnapshot, seq, &prefix, sizeof(prefix),
-                       book_image, book_bytes);
+  const RecordHeader header = make_header(kKindSnapshot, seq, &prefix,
+                                          sizeof(prefix), book_image,
+                                          book_bytes);
+
+  // Chaos: die mid-append — write the header and roughly half the
+  // prefix, then refuse all further writes.  Recovery must treat the
+  // result exactly like a SIGKILL between two write(2) calls.
+  if (fault::try_fire(fault::InjectPoint::kJournalTruncate)) {
+    poisoned_ = true;
+    ++torn_appends_;
+    write_fully(fd_, &header, sizeof(header));
+    write_fully(fd_, &prefix, sizeof(prefix) / 2);
+    return common::internal_error("journal torn by injection");
+  }
+
+  if (!write_fully(fd_, &header, sizeof(header)) ||
+      !write_fully(fd_, &prefix, sizeof(prefix)) ||
+      (book_bytes > 0 && !write_fully(fd_, book_image, book_bytes))) {
+    return common::internal_error("journal append failed");
+  }
+  write_offset_ += sizeof(header) + sizeof(prefix) + book_bytes;
+  if (options_.sync_each_append) ::fdatasync(fd_);
+  return common::Status::ok();
 }
 
 }  // namespace rtseed::shard

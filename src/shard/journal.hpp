@@ -6,13 +6,17 @@
 //
 //   kDelta     one ShardMessage, written BEFORE the message is applied
 //              to the book (write-ahead: peek ring → append → apply →
-//              commit ring);
+//              commit ring).  A worker journals a whole drained batch of
+//              deltas with one write(2) (append_deltas): the frames are
+//              byte-identical to one-at-a-time appends, so a torn batch
+//              is just a torn tail that recovers to a record prefix;
 //   kSnapshot  a full (BitmapBook image + RiskEngine::Snapshot) pair,
 //              written every snapshot_every deltas so replay cost stays
 //              bounded.
 //
 // Every record carries an FNV-1a digest over its header fields and
-// payload.  Recovery scans the file, restores the LATEST digest-valid
+// payload.  Recovery maps the file read-only, walks the frames in place,
+// restores the LATEST digest-valid
 // snapshot, replays the digest-valid deltas after it in order, and
 // truncates whatever torn/truncated tail a mid-write crash left — a
 // partial record is EXPECTED after SIGKILL, never an error.  Combined
@@ -26,10 +30,11 @@
 // append) and is off by default — the supervisor, not the disk, is the
 // failure domain here.
 //
-// Fork discipline: open() and the scratch buffer allocation happen in
-// the PARENT before fork; the child inherits the fd and appends through
-// the preallocated buffer with raw write(2) calls — no malloc after
-// fork (the parent's other threads may hold the heap lock at fork time).
+// Fork discipline: open() and the batch framing buffer allocation happen
+// in the PARENT before fork; the child inherits the fd, frames into the
+// preallocated buffer, appends with raw write(2) calls, and recovers
+// through mmap(2) — no malloc after fork (the parent's other threads may
+// hold the heap lock at fork time).
 #pragma once
 
 #include <memory>
@@ -48,8 +53,8 @@ using common::usize;
 class StateJournal {
  public:
   struct Options {
-    /// Upper bound on one snapshot's book-image bytes; sizes the scratch
-    /// buffer (allocated once, at open).
+    /// Upper bound on one snapshot's book-image bytes; recovery stops
+    /// trusting the file at a frame claiming a larger payload.
     usize max_book_image_bytes = 1 << 20;
     /// fdatasync after every append (machine-crash durability; slow).
     bool sync_each_append = false;
@@ -88,14 +93,19 @@ class StateJournal {
   bool valid() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Scans the whole file, delivers the latest digest-valid snapshot to
-  /// `on_snapshot` (if any), then every digest-valid delta after it (in
-  /// write order) to `on_delta`; finally truncates any torn tail and
-  /// positions the journal for appending.  Call once, before appending.
+  /// Maps the whole file read-only, delivers the latest digest-valid
+  /// snapshot to `on_snapshot` (if any) straight from the mapping, then
+  /// every digest-valid delta after it (in write order) to `on_delta`;
+  /// finally unmaps, truncates any torn tail, and positions the journal
+  /// for appending.  Call once, before appending.
   common::Expected<RecoverResult> recover(SnapshotSink on_snapshot,
                                           DeltaSink on_delta);
 
-  /// Appends one write-ahead delta.  Allocation-free.
+  /// Appends `n` (<= kMaxBatch) write-ahead deltas, each framed under
+  /// its own msg->seq, with one write(2).  Allocation-free.
+  common::Status append_deltas(const ShardMessage* const* msgs, usize n);
+
+  /// One-element append_deltas; `seq` must equal msg.seq.
   common::Status append_delta(u64 seq, const ShardMessage& msg);
 
   /// Appends a full state snapshot.  `book_image` must be at most
@@ -111,16 +121,11 @@ class StateJournal {
   u64 appended_bytes() const { return static_cast<u64>(write_offset_); }
 
  private:
-  common::Status append_record(u32 kind, u64 seq, const void* payload_a,
-                               usize bytes_a, const void* payload_b,
-                               usize bytes_b);
-
   std::string path_;
   Options options_;
   int fd_ = -1;
   usize write_offset_ = 0;
-  std::unique_ptr<unsigned char[]> scratch_;
-  usize scratch_bytes_ = 0;
+  std::unique_ptr<unsigned char[]> batch_buf_;  ///< kMaxBatch delta frames
   bool poisoned_ = false;  ///< a torn append happened; writes stop
   u64 torn_appends_ = 0;
 };

@@ -24,6 +24,11 @@ using common::i64;
 using common::u32;
 using common::u64;
 
+/// Most messages one write-ahead batch carries: what a journaled shard
+/// worker peeks from its ingress ring, journals with one write(2), and
+/// commits and releases together.
+inline constexpr common::usize kMaxBatch = 64;
+
 enum class MessageKind : u32 {
   kInvalid = 0,
   kTick = 1,        ///< market tick routed to the symbol's shard

@@ -160,19 +160,28 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
   control->state.store(static_cast<u32>(ShardState::kRunning),
                        std::memory_order_release);
 
+  // The write-ahead batch path: peek n → journal + apply (inside
+  // apply_batch) → commit n → release n.
+  ShardMessage* batch[kMaxBatch];
+  const auto serve = [&](usize n) {
+    worker->apply_batch(batch, n);
+    transport_->commit_ingress_n(shard, n);
+    transport_->release_n(batch, n);
+  };
+
   u64 stall_loops = 0;
   for (;;) {
     if (g_child_term != 0) {
       control->state.store(static_cast<u32>(ShardState::kDraining),
                            std::memory_order_release);
-      // Bounded final drain, then one last snapshot: a clean shutdown
-      // leaves nothing to replay.
-      for (usize i = 0; i < transport_->ingress_size_approx(shard) + 1; ++i) {
-        ShardMessage* msg = transport_->peek_ingress(shard);
-        if (msg == nullptr) break;
-        worker->apply(*msg);
-        transport_->commit_ingress(shard);
-        transport_->release(msg);
+      // Bounded final drain of what was queued at SIGTERM, then one last
+      // snapshot: a clean shutdown leaves nothing to replay.
+      usize budget = transport_->ingress_size_approx(shard);
+      while (budget > 0) {
+        const usize n = transport_->peek_ingress_n(shard, batch, budget);
+        if (n == 0) break;
+        serve(n);
+        budget -= n;
       }
       (void)worker->snapshot_now();
       worker->publish(control, /*with_digest=*/true);
@@ -198,8 +207,8 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
       control->digest_ack.store(digest_req, std::memory_order_release);
     }
 
-    ShardMessage* msg = transport_->peek_ingress(shard);
-    if (msg != nullptr) {
+    const usize n = transport_->peek_ingress_n(shard, batch, kMaxBatch);
+    if (n > 0) {
       // Chaos: die mid-guarded-segment-write, generation left ODD — the
       // parent must repair before any reattach succeeds.
       if (fault::try_fire(fault::InjectPoint::kTornShmWrite)) {
@@ -207,12 +216,12 @@ void ProcessShardRuntime::child_main(int shard, ShardWorker* worker) {
             1, std::memory_order_acq_rel);
         ::_exit(70);
       }
-      worker->apply(*msg);  // WAL inside: journal, then book
-      transport_->commit_ingress(shard);
-      transport_->release(msg);
+      const u64 before = worker->deltas_applied();
+      serve(n);
+      // Digest whenever the batch crossed a digest_publish_every mark.
+      const u64 every = options_.digest_publish_every;
       const bool digest_now =
-          options_.digest_publish_every != 0 &&
-          worker->deltas_applied() % options_.digest_publish_every == 0;
+          every != 0 && before / every != worker->deltas_applied() / every;
       worker->publish(control, digest_now);
     } else {
       (void)transport_->wait_ingress(

@@ -158,18 +158,25 @@ class ShardTransport {
     return receive(ingress_[static_cast<usize>(shard)]);
   }
 
-  /// Write-ahead consumer pair: peek_ingress() exposes the front message
-  /// WITHOUT consuming it; commit_ingress() consumes it (the caller then
-  /// release()s the cell).  A worker that journals between the two can
-  /// crash at any instruction without losing the message (DESIGN.md
-  /// §14.3).
-  ShardMessage* peek_ingress(int shard) {
-    common::u32 index;
-    if (!ingress_[static_cast<usize>(shard)].try_peek(&index)) return nullptr;
-    return pool_.at(index);
+  /// Write-ahead batch consumer: peek_ingress_n() exposes up to `max`
+  /// (capped at kMaxBatch) front ingress messages, oldest first, WITHOUT
+  /// consuming them; commit_ingress_n() consumes them, and release_n()
+  /// then returns their cells.  A worker that journals between peek and
+  /// commit can crash at any instruction without losing a message
+  /// (DESIGN.md §14.3).
+  usize peek_ingress_n(int shard, ShardMessage** out, usize max) {
+    common::u32 indices[kMaxBatch];
+    const usize n = ingress_[static_cast<usize>(shard)].try_peek_n(
+        indices, max < kMaxBatch ? max : kMaxBatch);
+    for (usize i = 0; i < n; ++i) out[i] = pool_.at(indices[i]);
+    return n;
   }
-  void commit_ingress(int shard) {
-    ingress_[static_cast<usize>(shard)].commit_pop();
+  void commit_ingress_n(int shard, usize n) {
+    ingress_[static_cast<usize>(shard)].commit_pop_n(n);
+  }
+  /// Returns `n` cells with one pool CAS.
+  void release_n(ShardMessage* const* msgs, usize n) {
+    pool_.release_n(msgs, n);
   }
 
   /// Blocks (doorbell futex, EINTR-retried) until `shard`'s ingress ring

@@ -70,25 +70,43 @@ common::Expected<StateJournal::RecoverResult> ShardWorker::recover() {
   return result;
 }
 
-bool ShardWorker::apply(const ShardMessage& msg) {
-  if (msg.kind != MessageKind::kFlow) return false;
+usize ShardWorker::apply_batch(const ShardMessage* const* msgs, usize n) {
+  usize advanced = 0;
+  for (usize done = 0; done < n; done += kMaxBatch) {
+    const usize left = n - done;
+    advanced += apply_chunk(msgs + done, left < kMaxBatch ? left : kMaxBatch);
+  }
+  return advanced;
+}
+
+usize ShardWorker::apply_chunk(const ShardMessage* const* msgs, usize n) {
   // Exactly-once: a ring entry journaled before the crash replays from
   // the journal, and its still-queued twin arrives here with a stale seq.
-  if (msg.seq <= applied_seq_) return false;
+  const ShardMessage* fresh[kMaxBatch];
+  usize count = 0;
+  u64 last_seq = applied_seq_;
+  for (usize i = 0; i < n; ++i) {
+    const ShardMessage* msg = msgs[i];
+    if (msg->kind != MessageKind::kFlow || msg->seq <= last_seq) continue;
+    fresh[count++] = msg;
+    last_seq = msg->seq;
+  }
+  if (count == 0) return 0;
 
   if (journaled_) {
-    // Write-ahead: the delta is durable before the book moves.  A failed
-    // append (torn injection) still applies — the worker is about to be
-    // killed, and recovery replays up to the last durable record only.
-    (void)journal_.append_delta(msg.seq, msg);
+    // Write-ahead: the deltas are durable before the book moves.  A
+    // failed append (torn injection) still applies — the worker is about
+    // to be killed, and recovery replays up to the last durable record.
+    (void)journal_.append_deltas(fresh, count);
   }
-  apply_flow(msg);
-  applied_seq_ = msg.seq;
-  ++deltas_applied_;
-  if (journaled_ && ++deltas_since_snapshot_ >= config_.snapshot_every) {
-    (void)snapshot_now();
+  for (usize i = 0; i < count; ++i) apply_flow(*fresh[i]);
+  applied_seq_ = last_seq;
+  deltas_applied_ += count;
+  deltas_since_snapshot_ += count;
+  if (journaled_ && deltas_since_snapshot_ >= config_.snapshot_every) {
+    (void)snapshot_now();  // batch boundary: covers every delta before it
   }
-  return true;
+  return count;
 }
 
 common::Status ShardWorker::snapshot_now() {

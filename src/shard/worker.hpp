@@ -2,15 +2,21 @@
 // (DESIGN.md §14.2).
 //
 // The worker owns a lob::BitmapBook and a lob::RiskEngine and applies
-// kFlow ShardMessages to them under the write-ahead discipline:
+// batches of kFlow ShardMessages to them under the write-ahead
+// discipline:
 //
-//   peek ring → journal append_delta → apply to book/risk → commit ring
+//   peek n → seq filter → journal append_deltas (one write) → apply in
+//   order → commit n → release n → publish
 //
 // plus a periodic full snapshot (book image + risk POD) so replay cost
-// stays bounded.  Exactly-once across crashes comes from the per-shard
-// monotonic message seq: apply() skips any message whose seq is not
-// greater than applied_seq(), so ring entries that were journaled before
-// the crash (but not yet popped) are recognized and dropped on replay.
+// stays bounded.  A snapshot is only ever taken at a batch boundary: one
+// taken mid-batch would sit in the journal AFTER deltas it does not
+// contain, and recovery (which replays only what follows the latest
+// snapshot) would lose them.  Exactly-once across crashes comes from the
+// per-shard monotonic message seq: apply_batch() skips any message whose
+// seq is not greater than applied_seq(), so ring entries that were
+// journaled before the crash (but not yet popped) are recognized and
+// dropped on replay.
 //
 // Everything the message stream decides is a pure function of book
 // content — cancel/replace victims come from BitmapBook::front_order(),
@@ -22,8 +28,8 @@
 //
 // Fork discipline: create() (which allocates the book, scratch buffers,
 // and opens the journal) runs in the supervising PARENT before fork; the
-// child only ever calls recover()/apply()/publish(), which are
-// allocation-free.
+// child only ever calls recover()/apply_batch()/snapshot_now()/
+// publish(), which are allocation-free (tests/hotpath audits them).
 #pragma once
 
 #include <memory>
@@ -59,13 +65,23 @@ class ShardWorker {
   ShardWorker& operator=(const ShardWorker&) = delete;
 
   /// Replays the journal into the book/risk (latest snapshot + deltas
-  /// after it).  Call once, before the first apply().  Allocation-free.
+  /// after it).  Call once, before the first apply_batch().
+  /// Allocation-free.
   common::Expected<StateJournal::RecoverResult> recover();
 
-  /// Applies one message under the write-ahead discipline.  Returns true
-  /// when the message advanced state; false for duplicates (seq <=
-  /// applied_seq — the exactly-once skip) and non-flow kinds.
-  bool apply(const ShardMessage& msg);
+  /// Applies a batch under the write-ahead discipline: drops duplicates
+  /// (seq <= the last applied seq — the exactly-once skip) and non-flow
+  /// kinds, journals every remaining delta with one append, applies them
+  /// in order, and takes a due snapshot at the batch's end.  Batches
+  /// longer than kMaxBatch are served as consecutive batches.  Returns
+  /// how many messages advanced state.
+  usize apply_batch(const ShardMessage* const* msgs, usize n);
+
+  /// One-element apply_batch: true when `msg` advanced state.
+  bool apply(const ShardMessage& msg) {
+    const ShardMessage* one = &msg;
+    return apply_batch(&one, 1) == 1;
+  }
 
   /// Publishes progress words for the parent-side supervisor: applied
   /// seq, deltas, position — and, when `with_digest`, the book digest
@@ -80,11 +96,14 @@ class ShardWorker {
   const lob::RiskEngine& risk() const { return risk_; }
   StateJournal* journal() { return journaled_ ? &journal_ : nullptr; }
 
-  /// Forces a snapshot record now (clean-shutdown path).
+  /// Forces a snapshot record now (clean-shutdown path).  Call between
+  /// batches only.
   common::Status snapshot_now();
 
  private:
   explicit ShardWorker(const WorkerConfig& config);
+
+  usize apply_chunk(const ShardMessage* const* msgs, usize n);
 
   void apply_flow(const ShardMessage& msg);
 

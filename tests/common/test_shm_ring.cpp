@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -83,6 +84,44 @@ TEST(ShmSpscRing, WrapsAroundManyTimes) {
     }
   }
   EXPECT_TRUE(ring.empty_approx());
+}
+
+// The batch consumer pair across the wrap point: the peek count never
+// exceeds what is queued or `max`, elements come out oldest first, and a
+// peek leaves the ring untouched until commit_pop_n consumes it.
+TEST(ShmSpscRing, PeekNAndCommitNAcrossTheWrapPoint) {
+  constexpr usize kCap = 8;
+  auto seg = ShmSegment::create(ShmSpscRing<u32>::required_bytes(kCap));
+  ASSERT_TRUE(seg.has_value());
+  auto ring = ShmSpscRing<u32>::create(seg->data(), kCap);
+  u32 pushed = 0;
+  u32 popped = 0;
+  u32 out[kCap + 4];
+  EXPECT_EQ(ring.try_peek_n(out, kCap), 0u);  // empty
+  // Offsets 0..kCap-1 put the tail at every slot, so batches straddle the
+  // slot array's end in every possible way.
+  for (usize round = 0; round < 4 * kCap; ++round) {
+    const usize fill = 1 + round % kCap;
+    while (pushed - popped < fill) ASSERT_TRUE(ring.try_push(pushed++));
+    const usize queued = pushed - popped;
+    for (usize max = 0; max <= kCap + 4; ++max) {
+      const usize n = ring.try_peek_n(out, max);
+      ASSERT_EQ(n, std::min(queued, max));
+      for (usize i = 0; i < n; ++i) ASSERT_EQ(out[i], popped + i);
+    }
+    EXPECT_EQ(ring.size_approx(), queued);  // peeking consumed nothing
+    const usize take = 1 + round % queued;
+    ASSERT_EQ(ring.try_peek_n(out, take), take);
+    ring.commit_pop_n(take);
+    popped += static_cast<u32>(take);
+    EXPECT_EQ(ring.size_approx(), pushed - popped);
+  }
+  // After commits the next element is the oldest unconsumed one.
+  u32 v = 0;
+  if (pushed != popped) {
+    ASSERT_TRUE(ring.try_pop(&v));
+    EXPECT_EQ(v, popped);
+  }
 }
 
 TEST(ShmSpscRing, ConcurrentProducerConsumer) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -216,6 +217,102 @@ TEST_F(JournalTest, InjectedTruncationPoisonsAndRecoversClean) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->tail_truncated);  // the half-written record
   EXPECT_EQ(got.delta_seqs, (std::vector<u64>{1}));
+}
+
+std::vector<unsigned char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<unsigned char>(std::istreambuf_iterator<char>(in), {});
+}
+
+// The on-disk delta frame, framed independently of the journal: a 32-byte
+// header {magic "RJNL", kind 1, seq, payload bytes, pad, FNV-1a over
+// kind‖seq‖payload_bytes‖payload} followed by the raw message.  Batched
+// appends must keep writing exactly this, so journals written before and
+// after batching recover alike.
+TEST_F(JournalTest, BatchedDeltaFramesKeepTheOnDiskFormat) {
+  std::vector<ShardMessage> msgs;
+  for (u64 seq = 1; seq <= 7; ++seq) msgs.push_back(flow_msg(seq));
+  std::vector<const ShardMessage*> ptrs;
+  for (const ShardMessage& m : msgs) ptrs.push_back(&m);
+  {
+    auto journal = StateJournal::open(path_);
+    ASSERT_TRUE(journal.has_value());
+    ASSERT_TRUE(journal->append_deltas(ptrs.data(), 3).is_ok());
+    ASSERT_TRUE(journal->append_deltas(ptrs.data() + 3, 4).is_ok());
+  }
+
+  std::vector<unsigned char> expected;
+  const auto put = [&expected](const void* p, usize n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    expected.insert(expected.end(), b, b + n);
+  };
+  const auto fnv = [](u64 h, const void* p, usize n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (usize i = 0; i < n; ++i) h = (h ^ b[i]) * 0x100000001B3ULL;
+    return h;
+  };
+  for (const ShardMessage& m : msgs) {
+    const u32 magic = 0x524A4E4Cu, kind = 1, bytes = sizeof(ShardMessage),
+              pad = 0;
+    u64 digest = 0xCBF29CE484222325ULL;
+    digest = fnv(digest, &kind, sizeof(kind));
+    digest = fnv(digest, &m.seq, sizeof(m.seq));
+    digest = fnv(digest, &bytes, sizeof(bytes));
+    digest = fnv(digest, &m, sizeof(m));
+    put(&magic, 4);
+    put(&kind, 4);
+    put(&m.seq, 8);
+    put(&bytes, 4);
+    put(&pad, 4);
+    put(&digest, 8);
+    put(&m, sizeof(m));
+  }
+  EXPECT_EQ(file_bytes(path_), expected);
+}
+
+TEST_F(JournalTest, OneBatchEqualsSingleAppendsAndRecovers) {
+  const std::string singles = dir_ + "/singles.journal";
+  std::vector<ShardMessage> msgs;
+  for (u64 seq = 1; seq <= kMaxBatch; ++seq) msgs.push_back(flow_msg(seq));
+  std::vector<const ShardMessage*> ptrs;
+  for (const ShardMessage& m : msgs) ptrs.push_back(&m);
+  {
+    auto batched = StateJournal::open(path_);
+    auto single = StateJournal::open(singles);
+    ASSERT_TRUE(batched.has_value() && single.has_value());
+    ASSERT_TRUE(batched->append_deltas(ptrs.data(), ptrs.size()).is_ok());
+    for (const ShardMessage& m : msgs) {
+      ASSERT_TRUE(single->append_delta(m.seq, m).is_ok());
+    }
+    EXPECT_EQ(batched->appended_bytes(), single->appended_bytes());
+    // A batch past the framing buffer is refused whole, not half-written.
+    std::vector<const ShardMessage*> too_many(kMaxBatch + 1, &msgs[0]);
+    EXPECT_FALSE(
+        batched->append_deltas(too_many.data(), too_many.size()).is_ok());
+  }
+  EXPECT_EQ(file_bytes(path_), file_bytes(singles));
+  ::unlink(singles.c_str());
+
+  auto journal = StateJournal::open(path_);
+  ASSERT_TRUE(journal.has_value());
+  Recovered got;
+  auto result = run_recover(*journal, got);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->tail_truncated);
+  EXPECT_EQ(result->last_seq, kMaxBatch);
+  EXPECT_EQ(got.delta_seqs.size(), kMaxBatch);
+}
+
+TEST_F(JournalTest, EmptyFileRecoversToNothing) {
+  auto journal = StateJournal::open(path_);
+  ASSERT_TRUE(journal.has_value());
+  Recovered got;
+  auto result = run_recover(*journal, got);
+  ASSERT_TRUE(result.has_value()) << result.status().to_string();
+  EXPECT_EQ(result->last_seq, 0u);
+  EXPECT_FALSE(result->tail_truncated);
+  EXPECT_TRUE(got.delta_seqs.empty());
+  EXPECT_TRUE(got.book_bytes_seen.empty());
 }
 
 }  // namespace

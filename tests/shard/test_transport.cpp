@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -63,6 +64,45 @@ TEST(ShardTransport, ResultRoundTrip) {
   ASSERT_EQ(got, msg);
   EXPECT_EQ(got->body.result.job, 3);
   t.release(got);
+}
+
+// The write-ahead batch pair: peek exposes the cells in place without
+// consuming them, the count is capped at kMaxBatch, and commit + release
+// return every cell.
+TEST(ShardTransport, PeekCommitReleaseNRoundTrip) {
+  TransportOptions options;
+  options.ring_capacity = 256;
+  options.pool_capacity = 256;
+  auto transport = ShardTransport::create(1, options);
+  ASSERT_TRUE(transport.has_value());
+  auto& t = **transport;
+  constexpr usize kPosted = kMaxBatch + 10;
+  std::vector<ShardMessage*> posted;
+  for (usize i = 0; i < kPosted; ++i) {
+    ShardMessage* msg = t.acquire();
+    ASSERT_NE(msg, nullptr);
+    msg->seq = i;
+    ASSERT_TRUE(t.post(0, msg));
+    posted.push_back(msg);
+  }
+
+  ShardMessage* batch[kMaxBatch];
+  EXPECT_EQ(t.peek_ingress_n(0, batch, 3), 3u);
+  EXPECT_EQ(t.ingress_size_approx(0), kPosted);  // peek consumed nothing
+  usize next = 0;
+  while (next < kPosted) {
+    const usize n = t.peek_ingress_n(0, batch, 1000);
+    ASSERT_EQ(n, std::min(kMaxBatch, kPosted - next));
+    for (usize i = 0; i < n; ++i) {
+      ASSERT_EQ(batch[i], posted[next + i]);  // in place, oldest first
+    }
+    t.commit_ingress_n(0, n);
+    t.release_n(batch, n);
+    next += n;
+    EXPECT_EQ(t.in_flight_approx(), kPosted - next);
+  }
+  EXPECT_EQ(t.peek_ingress_n(0, batch, kMaxBatch), 0u);
+  EXPECT_EQ(t.in_flight_approx(), 0u);
 }
 
 TEST(ShardTransport, FullRingDropsAndReleases) {
@@ -300,6 +340,70 @@ TEST(ShardTransportStress, RouterFansOutToConcurrentConsumers) {
   EXPECT_FALSE(failed.load());
   for (int s = 0; s < kShards; ++s) EXPECT_EQ(received[s], kPerShard);
   EXPECT_EQ(t.in_flight_approx(), 0u);
+}
+
+// One producer, one batch consumer per shard using the write-ahead
+// pair (peek n → commit n → release n), everything concurrent: every
+// message arrives exactly once, in order, and the chained releases race
+// the producer's acquires on the pool head without losing a cell.  (Runs
+// under the tsan CI entry.)
+TEST(ShardTransportStress, BatchConsumersSeeEveryMessageOnceInOrder) {
+  constexpr int kShards = 2;
+  constexpr u64 kPerShard = 50000;
+  TransportOptions options;
+  options.pool_capacity = 256;
+  options.ring_capacity = 128;
+  auto transport = ShardTransport::create(kShards, options);
+  ASSERT_TRUE(transport.has_value());
+  auto& t = **transport;
+
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> consumers;
+  for (int s = 0; s < kShards; ++s) {
+    consumers.emplace_back([&, s] {
+      ShardMessage* batch[kMaxBatch];
+      u64 expect = 0;
+      while (expect < kPerShard) {
+        const usize n = t.peek_ingress_n(s, batch, kMaxBatch);
+        for (usize i = 0; i < n; ++i) {
+          if (batch[i]->symbol != static_cast<u32>(s) ||
+              batch[i]->seq != expect) {
+            failed.store(true);
+          }
+          ++expect;
+        }
+        t.commit_ingress_n(s, n);
+        t.release_n(batch, n);
+      }
+    });
+  }
+
+  u64 next_seq[kShards] = {};
+  u64 sent = 0;
+  while (sent < kPerShard * kShards) {
+    for (int s = 0; s < kShards; ++s) {
+      if (next_seq[s] >= kPerShard) continue;
+      ShardMessage* msg = t.acquire();
+      if (msg == nullptr) continue;  // pool back-pressure: retry
+      msg->kind = MessageKind::kFlow;
+      msg->symbol = static_cast<u32>(s);
+      msg->seq = next_seq[s];
+      if (t.post(s, msg)) {
+        ++next_seq[s];
+        ++sent;
+      }
+    }
+  }
+  for (auto& c : consumers) c.join();
+
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(t.in_flight_approx(), 0u);
+  // Every cell is back on the free list.
+  const u64 exhausted = t.pool_exhausted();
+  for (usize i = 0; i < options.pool_capacity; ++i) {
+    ASSERT_NE(t.acquire(), nullptr) << "free list lost a cell at " << i;
+  }
+  EXPECT_EQ(t.pool_exhausted(), exhausted);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <vector>
 
 #include "lob/flow.hpp"
 
@@ -94,6 +95,38 @@ TEST(ShardWorker, PublishMirrorsProgressIntoTheControlLine) {
   EXPECT_EQ(control.position.load(), (*worker)->position());
 }
 
+TEST(ShardWorker, BatchApplyMatchesOneAtATime) {
+  const WorkerConfig config = small_config();
+  auto single = ShardWorker::create(config);
+  auto batched = ShardWorker::create(config);
+  ASSERT_TRUE(single.has_value() && batched.has_value());
+  apply_stream(**single, 5, 1, 300, config.book);
+
+  lob::FlowGenerator gen(5, config.book);
+  std::vector<ShardMessage> msgs;
+  for (u64 seq = 1; seq <= 300; ++seq) msgs.push_back(msg_of(gen.next(), seq));
+  std::vector<const ShardMessage*> ptrs;
+  for (const ShardMessage& m : msgs) ptrs.push_back(&m);
+  // Ragged batches, one past kMaxBatch, plus a duplicate and a stale seq
+  // inside a batch: the seq filter drops both.
+  usize next = 0;
+  for (usize size : {1u, 7u, 64u, 65u, 13u}) {
+    ASSERT_EQ((*batched)->apply_batch(ptrs.data() + next, size), size);
+    next += size;
+  }
+  const ShardMessage* dup[] = {ptrs[next], ptrs[next], ptrs[next - 5],
+                               ptrs[next + 1]};
+  EXPECT_EQ((*batched)->apply_batch(dup, 4), 2u);
+  next += 2;
+  ASSERT_EQ((*batched)->apply_batch(ptrs.data() + next, msgs.size() - next),
+            msgs.size() - next);
+
+  EXPECT_EQ((*batched)->applied_seq(), 300u);
+  EXPECT_EQ((*batched)->deltas_applied(), 300u);
+  EXPECT_EQ((*batched)->book_digest(), (*single)->book_digest());
+  EXPECT_EQ((*batched)->position(), (*single)->position());
+}
+
 class JournaledWorkerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -174,6 +207,44 @@ TEST_F(JournaledWorkerTest, RingReplayAfterRecoveryIsExactlyOnce) {
   EXPECT_FALSE((*second)->apply(msg_of(ev, 2)));
   EXPECT_TRUE((*second)->apply(msg_of(ev, 3)));
   EXPECT_EQ((*second)->book().open_orders(), 3u);
+}
+
+// A snapshot falling due inside a batch waits for the batch's end: it
+// must cover every delta journaled before it.
+TEST_F(JournaledWorkerTest, DueSnapshotWaitsForTheBatchBoundary) {
+  WorkerConfig journaled = small_config();
+  journaled.journal_path = dir_ + "/w.journal";
+  journaled.snapshot_every = 8;
+  lob::FlowGenerator gen(3, journaled.book);
+  std::vector<ShardMessage> msgs;
+  for (u64 seq = 1; seq <= kMaxBatch; ++seq) {
+    msgs.push_back(msg_of(gen.next(), seq));
+  }
+  std::vector<const ShardMessage*> ptrs;
+  for (const ShardMessage& m : msgs) ptrs.push_back(&m);
+  u64 digest = 0;
+  {
+    auto first = ShardWorker::create(journaled);
+    ASSERT_TRUE(first.has_value());
+    ASSERT_TRUE((*first)->recover().has_value());
+    ASSERT_EQ((*first)->apply_batch(ptrs.data(), ptrs.size()), kMaxBatch);
+    digest = (*first)->book_digest();
+    // The journal holds the batch's deltas and ONE snapshot frame (sized
+    // here by forcing a second one), not one per 8 deltas.
+    StateJournal* journal = (*first)->journal();
+    const usize after_batch = journal->appended_bytes();
+    ASSERT_TRUE((*first)->snapshot_now().is_ok());
+    const usize snapshot_frame = journal->appended_bytes() - after_batch;
+    EXPECT_EQ(after_batch,
+              kMaxBatch * (32 + sizeof(ShardMessage)) + snapshot_frame);
+  }
+  auto second = ShardWorker::create(journaled);
+  ASSERT_TRUE(second.has_value());
+  auto recovered = (*second)->recover();
+  ASSERT_TRUE(recovered.has_value());
+  EXPECT_EQ(recovered->snapshot_seq, kMaxBatch);  // one, after the batch
+  EXPECT_EQ(recovered->deltas_replayed, 0u);
+  EXPECT_EQ((*second)->book_digest(), digest);
 }
 
 }  // namespace
