@@ -29,6 +29,7 @@
 #include "common/time.hpp"
 #include "core/assignment.hpp"
 #include "core/optional_pool.hpp"
+#include "host_info.hpp"
 #include "obs/hotpath_audit.hpp"
 #include "rt/futex.hpp"
 #include "rt/topology.hpp"
@@ -68,6 +69,10 @@ double bench_function_ref_call() {
   long local = 0;
   const auto lambda = [&local](int v) { local += v; };
   common::FunctionRef<void(int)> fn = lambda;
+  // Hide which trampoline the reference holds, as a caller that received
+  // it from elsewhere would: otherwise the compiler inlines the lambda
+  // and folds the whole loop into one add.
+  asm volatile("" : "+m"(fn));
   constexpr long kOps = 5'000'000;
   const Nanos start = monotonic_now();
   for (long n = 0; n < kOps; ++n) fn(static_cast<int>(n));
@@ -232,6 +237,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"micro_dispatch\",\n");
+    std::fprintf(f, "  \"host\": {%s},\n",
+                 rtseed::bench::host_fields().c_str());
     std::fprintf(f, "  \"np\": %d,\n", kNp);
     std::fprintf(f, "  \"rounds\": %d,\n", kRounds);
     std::fprintf(f, "  \"alloc_hook\": %s,\n", hook ? "true" : "false");

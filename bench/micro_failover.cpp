@@ -17,18 +17,16 @@
 // Flags: --json out.json   machine-readable results (CI archives this as
 //                          BENCH_failover.json)
 #include <signal.h>
-#include <sys/utsname.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/time.hpp"
+#include "host_info.hpp"
 #include "lob/flow.hpp"
 #include "shard/process_runtime.hpp"
 #include "shard/worker.hpp"
@@ -41,6 +39,7 @@ using rtseed::common::Nanos;
 using rtseed::common::seconds;
 using rtseed::common::u32;
 using rtseed::common::u64;
+namespace bench = rtseed::bench;
 namespace shard = rtseed::shard;
 namespace lob = rtseed::lob;
 
@@ -59,30 +58,6 @@ shard::WorkerConfig bench_worker() {
   config.risk.max_order_qty = 0;
   config.snapshot_every = 4096;
   return config;
-}
-
-/// The CPU model from /proc/cpuinfo ("unknown" when unreadable), with
-/// JSON-special characters dropped.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon == std::string::npos) break;
-    std::string model;
-    for (char c : line.substr(colon + 1)) {
-      if (c != '"' && c != '\\') model += c;
-    }
-    const auto first = model.find_first_not_of(' ');
-    return first == std::string::npos ? "unknown" : model.substr(first);
-  }
-  return "unknown";
-}
-
-std::string kernel_release() {
-  struct utsname uts {};
-  return ::uname(&uts) == 0 ? uts.release : "unknown";
 }
 
 struct Results {
@@ -258,8 +233,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"micro_failover\",\n"
-                 "  \"host\": {\"cpus\": %u, \"model\": \"%s\", "
-                 "\"kernel\": \"%s\"},\n"
+                 "  \"host\": {%s},\n"
                  "  \"steady_kevents_s\": %.1f,\n"
                  "  \"detect_ms\": %.3f,\n"
                  "  \"respawn_ms\": %.3f,\n"
@@ -269,8 +243,7 @@ int main(int argc, char** argv) {
                  "  \"recovered_digest_matches\": %s,\n"
                  "  \"recovered_position_matches\": %s\n"
                  "}\n",
-                 std::thread::hardware_concurrency(), cpu_model().c_str(),
-                 kernel_release().c_str(), r.steady_kevents_s, r.detect_ms, r.respawn_ms, r.catchup_ms,
+                 bench::host_fields().c_str(), r.steady_kevents_s, r.detect_ms, r.respawn_ms, r.catchup_ms,
                  r.window_ms, static_cast<unsigned long long>(r.recoveries),
                  r.digest_match ? "true" : "false",
                  r.position_match ? "true" : "false");

@@ -30,6 +30,7 @@
 
 #include "common/table.hpp"
 #include "core/runtime.hpp"
+#include "host_info.hpp"
 #include "obs/attribution.hpp"
 #include "obs/perfetto_export.hpp"
 #include "obs/prometheus_export.hpp"
@@ -261,12 +262,13 @@ int main(int argc, char** argv) {
                  "{\n  \"bench\": \"native_overheads\",\n"
                  "  \"jobs\": %d,\n  \"period_ms\": 50,\n"
                  "  \"wake_backend\": \"%s\",\n"
-                 "  \"host\": {\"cpus\": %d, \"sched_fifo\": %s, "
+                 "  \"host\": {%s, \"sched_fifo\": %s, "
                  "\"affinity\": %s},\n  \"runs\": [\n",
                  kJobs,
                  core::wake_backend_name(
                      core::resolve_wake_backend(core::WakeBackend::kAuto)),
-                 caps.num_cpus, caps.sched_fifo ? "true" : "false",
+                 rtseed::bench::host_fields().c_str(),
+                 caps.sched_fifo ? "true" : "false",
                  caps.affinity ? "true" : "false");
     for (size_t i = 0; i < cells.size(); ++i) {
       std::fprintf(f, "    {\"load\": \"%s\", \"np\": %d,\n",

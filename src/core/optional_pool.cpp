@@ -1,11 +1,14 @@
 #include "core/optional_pool.hpp"
 
+#include <sched.h>
+
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "common/rt_logger.hpp"
+#include "core/spin_rule.hpp"
 #include "fault/injector.hpp"
 #include "rt/futex.hpp"
 #include "rt/periodic_clock.hpp"
@@ -14,29 +17,7 @@ namespace rtseed::core {
 
 namespace {
 
-// Bounded adaptive spin before committing to a sleep.  Sized to cover the
-// back-to-back-round gap (a few µs of mandatory-thread work) without
-// burning a visible slice of a part's budget: ~2k PAUSE iterations is
-// single-digit microseconds on current x86.
-//
-// Spinning only pays when the thread we are waiting on can run
-// CONCURRENTLY: on a single-CPU host every spin iteration steals the one
-// core the peer needs to produce the value we are polling, so both spins
-// collapse to zero there (park immediately, like the condvar path).
-constexpr int kWorkerSpinIters = 2048;
-constexpr int kCompletionSpinIters = 4096;
-
-int worker_spin_iters() {
-  static const int iters =
-      rt::rt_capabilities().num_cpus > 1 ? kWorkerSpinIters : 0;
-  return iters;
-}
-
-int completion_spin_iters() {
-  static const int iters =
-      rt::rt_capabilities().num_cpus > 1 ? kCompletionSpinIters : 0;
-  return iters;
-}
+int online_cpus() { return rt::rt_capabilities().num_cpus; }
 
 constexpr std::uint32_t completion_count(std::uint32_t word) {
   return word & ~(1u << 31);
@@ -164,15 +145,24 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
   // guarantee (only parked workers of THIS pool sleep on the generation
   // word), 1/k-th the syscalls.  This loop is the Δb window.
   if (backend_ != WakeBackend::kCondvar) {
-    // Workers read the countdown only after acquiring their cmd word, so
-    // a relaxed store ordered by the release-exchange below suffices.
+    // One vDSO call per round: the spin rule's "who shares my CPU" input.
+    const common::CpuId caller_cpu = sched_getcpu();
+    int local_parts = 0;
+    for (int k = 0; k < count; ++k) {
+      if (cpu(k) == caller_cpu) ++local_parts;
+    }
+    // Workers read the countdowns only after acquiring their cmd word, so
+    // relaxed stores ordered by the release-exchange below suffice.
     remaining_.store(static_cast<std::uint32_t>(count),
                      std::memory_order_relaxed);
+    local_parts_.store(local_parts, std::memory_order_relaxed);
     result.signal_start = common::monotonic_now();
     bool any_parked = false;
     for (int k = 0; k < count; ++k) {
       auto& slot = slots_[static_cast<size_t>(k)];
       slot.job = ctx;
+      slot.signaller_cpu = caller_cpu;
+      slot.signalled_at = result.signal_start;
       slot.force_flag.store(false, std::memory_order_relaxed);
       // One relaxed publish + release-exchange per part; wake syscalls
       // are skipped when the worker is still spinning (cmd was kCmdIdle).
@@ -306,17 +296,21 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
 }
 
 bool OptionalPool::wait_completion_word(Nanos abs_deadline) {
-  // Adaptive spin first: with short parts (back-to-back bench rounds) the
-  // countdown hits zero while we are still here and the whole round
-  // completes without ANY completion syscall on either side (the workers
-  // skip their wake because the waiter bit is unset).
-  int spins = completion_spin_iters();
   for (;;) {
-    const std::uint32_t word = remaining_.load(std::memory_order_acquire);
-    if (completion_count(word) == 0) return true;
-    if (spins-- > 0) {
-      rt::cpu_relax();
-      continue;
+    // Bounded spin first: with short parts (back-to-back bench rounds) the
+    // countdown hits zero while we are still here and the whole round
+    // completes without ANY completion syscall on either side (the
+    // workers skip their wake because the waiter bit is unset).  A part
+    // pinned to this CPU cannot run while we spin, so there is no spin
+    // until the last of those has ended — it wakes us to spin for the
+    // parts still running elsewhere.
+    const Nanos spin = spin_rule::completion_spin(
+        online_cpus(), local_parts_.load(std::memory_order_acquire) > 0);
+    if (spin_rule::spin_until(spin, [this] {
+          return completion_count(
+                     remaining_.load(std::memory_order_acquire)) == 0;
+        })) {
+      return true;
     }
     // Advertise that we are about to sleep; the fetch_or re-checks the
     // count atomically, so a final decrement cannot slip between the
@@ -343,49 +337,46 @@ void OptionalPool::force_parts(int count) {
   }
 }
 
-std::uint32_t OptionalPool::wait_for_command(Slot& slot) {
-  for (;;) {
-    std::uint32_t cmd = slot.cmd.load(std::memory_order_acquire);
-    for (int spins = worker_spin_iters(); cmd == kCmdIdle && spins > 0;
-         --spins) {
-      rt::cpu_relax();
-      cmd = slot.cmd.load(std::memory_order_acquire);
-    }
-    if (cmd == kCmdIdle) {
-      // Commit to sleeping.  If the signaller's exchange lands between
-      // this CAS and the FUTEX_WAIT, the wait returns immediately
-      // (word != kCmdParked under kFutexWord; the command re-check below
-      // under kFutexBatch).
-      std::uint32_t expected = kCmdIdle;
-      if (slot.cmd.compare_exchange_strong(expected, kCmdParked,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-        if (backend_ == WakeBackend::kFutexBatch) {
-          // Sleep on the SHARED generation word.  Order is load-gen →
-          // re-check-cmd → wait: the signaller publishes commands before
-          // bumping the generation, so seeing the new generation implies
-          // seeing our command, and a bump between our generation load
-          // and the FUTEX_WAIT bounces off the kernel's revalidation.
-          // No interleaving leaves us asleep with a command pending.
-          for (;;) {
-            const std::uint32_t gen =
-                wake_gen_.load(std::memory_order_acquire);
-            cmd = slot.cmd.load(std::memory_order_acquire);
-            if (cmd != kCmdParked) break;
-            rt::wait_word(wake_gen_, gen);
-            // Woken (possibly for a round that signals other parts only)
-            // — re-check our command against the NEW generation.
-          }
-        } else {
-          rt::wait_word(slot.cmd, kCmdParked);
-          cmd = slot.cmd.load(std::memory_order_acquire);
-        }
-      } else {
-        cmd = expected;
-      }
-    }
-    if (cmd == kCmdReady || cmd == kCmdShutdown) return cmd;
+std::uint32_t OptionalPool::wait_for_command(Slot& slot, Nanos spin) {
+  std::uint32_t cmd = kCmdIdle;
+  spin_rule::spin_until(spin, [&] {
+    cmd = slot.cmd.load(std::memory_order_acquire);
+    return cmd != kCmdIdle;
+  });
+  if (cmd != kCmdIdle) return cmd;
+  // Commit to sleeping.  If the signaller's exchange lands between this
+  // CAS and the FUTEX_WAIT, the wait returns immediately (word !=
+  // kCmdParked under kFutexWord; the command re-check below under
+  // kFutexBatch).  Only this worker ever stores kCmdIdle/kCmdParked, so
+  // a failed CAS or a changed word means kCmdReady or kCmdShutdown.
+  std::uint32_t expected = kCmdIdle;
+  if (!slot.cmd.compare_exchange_strong(expected, kCmdParked,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
+    return expected;
   }
+  if (backend_ == WakeBackend::kFutexBatch) {
+    // Sleep on the SHARED generation word.  Order is load-gen →
+    // re-check-cmd → wait: the signaller publishes commands before
+    // bumping the generation, so seeing the new generation implies
+    // seeing our command, and a bump between our generation load and the
+    // FUTEX_WAIT bounces off the kernel's revalidation.  No interleaving
+    // leaves us asleep with a command pending.
+    for (;;) {
+      const std::uint32_t gen = wake_gen_.load(std::memory_order_acquire);
+      cmd = slot.cmd.load(std::memory_order_acquire);
+      if (cmd != kCmdParked) return cmd;
+      rt::wait_word(wake_gen_, gen);
+      // Woken (possibly for a round that signals other parts only) —
+      // re-check our command against the NEW generation.
+    }
+  }
+  // Re-wait on a spurious return instead of polling the word.
+  do {
+    rt::wait_word(slot.cmd, kCmdParked);
+    cmd = slot.cmd.load(std::memory_order_acquire);
+  } while (cmd == kCmdParked);
+  return cmd;
 }
 
 void OptionalPool::execute_part(Slot& slot, int part, const JobContext& job,
@@ -476,16 +467,24 @@ void OptionalPool::thread_main(int part) {
         options_.name_prefix + ".o" + std::to_string(part),
         options_.cpus[static_cast<size_t>(part)]);
   }
+  const common::CpuId own_cpu = options_.cpus[static_cast<size_t>(part)];
   for (;;) {
     JobContext job;
+    bool on_signaller_cpu = false;
     if (backend_ != WakeBackend::kCondvar) {
-      const std::uint32_t cmd = wait_for_command(slot);
+      const Nanos waiting_since = common::monotonic_now();
+      const std::uint32_t cmd = wait_for_command(slot, slot.worker_spin);
       if (cmd == kCmdShutdown) return;
       // Chaos: the worker dies with the command UNCONSUMED (cmd stays
       // kCmdReady, the countdown undecremented) — the worst spot to die.
       // The respawned worker's wait_for_command picks the part right up.
       if (fault::try_fire(fault::InjectPoint::kWorkerDeath)) return;
       job = slot.job;
+      // Decide the spin for the NEXT command now, while the signaller's
+      // stamps are stable (it rewrites them only after this round ends).
+      on_signaller_cpu = slot.signaller_cpu == own_cpu;
+      slot.worker_spin = spin_rule::worker_spin(
+          online_cpus(), on_signaller_cpu, slot.signalled_at - waiting_since);
       // Reset before the completion decrement below: once the round
       // completes the signaller may immediately publish the next one and
       // its exchange must find kCmdIdle, not a stale kCmdReady.
@@ -512,11 +511,16 @@ void OptionalPool::thread_main(int part) {
     if (backend_ != WakeBackend::kCondvar) {
       // Single-countdown Δe path: one atomic per part, one wake syscall
       // per round at most — and none at all when the mandatory thread is
-      // still in its adaptive spin (waiter bit unset).
+      // still in its spin (waiter bit unset).  The one extra wake: the
+      // last part on the signaller's own CPU wakes a parked signaller
+      // that still waits on other parts, so it can spin for them.
+      const bool last_local =
+          on_signaller_cpu &&
+          local_parts_.fetch_sub(1, std::memory_order_acq_rel) == 1;
       const std::uint32_t prev =
           remaining_.fetch_sub(1, std::memory_order_acq_rel);
-      if (completion_count(prev) == 1 &&
-          (prev & kCompletionWaiterBit) != 0) {
+      if ((prev & kCompletionWaiterBit) != 0 &&
+          (completion_count(prev) == 1 || last_local)) {
         rt::wake_word(remaining_, 1);
       }
     } else {

@@ -30,8 +30,7 @@
 //   kFutexWord — the per-slot protocol.  Signalling a part is one
 //     release-exchange plus one FUTEX_WAKE per parked worker (skipped
 //     entirely when the worker is still spinning between back-to-back
-//     rounds — workers run a bounded adaptive spin before committing to
-//     FUTEX_WAIT).  Kept as the A/B baseline for the batch protocol.
+//     rounds).  Kept as the A/B baseline for the batch protocol.
 //     In both futex backends round completion is a single atomic
 //     countdown whose last decrementer issues at most one wake of the
 //     mandatory thread; the timeout/forcing path waits on an absolute
@@ -40,6 +39,15 @@
 //     StopToken observes (StopToken::bind_force_flag), so the mandatory
 //     thread writes a stable flag instead of dereferencing a pointer into
 //     the worker's stack.
+//
+//     Both futex backends spin before they park, under one rule
+//     (core/spin_rule.hpp): a thread spins only while the thread it waits
+//     for can run at the same time, for a bounded number of NANOSECONDS.
+//     The mandatory thread does not spin while a part pinned to its own
+//     CPU has not ended (the last such part wakes it to spin for the
+//     rest), a worker parks at once when it shares the signaller's CPU,
+//     and a worker whose previous command came later than its spin
+//     budget (a periodic task's next job) parks at once too.
 //
 //   kCondvar — the paper-verbatim per-slot mutex+condvar protocol, kept
 //     compiled as the A/B baseline, with its timed wait fixed to run on
@@ -211,6 +219,10 @@ class OptionalPool : public fault::SupervisedPool {
     // read by the worker after its acquire — on a separate line so the
     // job copy does not invalidate a spinning neighbour's word.
     alignas(common::kCacheLine) JobContext job{};
+    /// Published with `job`: the signaller's CPU (sched_getcpu) and the
+    /// round's signal start, inputs of the worker's spin rule.
+    common::CpuId signaller_cpu = common::kInvalidCpu;
+    Nanos signalled_at = 0;
     /// Observed by this part's StopToken (bind_force_flag); written by
     /// the mandatory thread's force-after-margin path.
     std::atomic<bool> force_flag{false};
@@ -227,6 +239,10 @@ class OptionalPool : public fault::SupervisedPool {
     std::atomic<Nanos> busy_deadline{0};
     std::atomic<bool> alive{false};
     std::atomic<pthread_t> handle{};
+    /// Worker-owned (never touched by the signaller): how long the worker
+    /// spins for its next command (spin_rule::worker_spin), decided when
+    /// it consumed the previous one.  0 = park at once (also at start-up).
+    Nanos worker_spin = 0;
 
     /// Per-part scratch handed to the body via JobContext::scratch.
     /// Reserved once at pool construction, reset() (one store) per part —
@@ -245,8 +261,9 @@ class OptionalPool : public fault::SupervisedPool {
   /// Spawns (or re-spawns) worker `part` into threads_[part].  Caller
   /// holds lifecycle_mutex_ (or is single-threaded setup).
   void spawn_worker_locked(int part);
-  /// Blocks until cmd != kIdle/kParked; returns kCmdReady or kCmdShutdown.
-  std::uint32_t wait_for_command(Slot& slot);
+  /// Blocks until cmd != kIdle/kParked, spinning at most `spin` ns before
+  /// it parks; returns kCmdReady or kCmdShutdown.
+  std::uint32_t wait_for_command(Slot& slot, Nanos spin);
   /// The one batched wake (kFutexBatch): bumps the generation so a worker
   /// between its generation load and FUTEX_WAIT entry cannot sleep past
   /// us, then wakes every sleeper with a single syscall.  Callers publish
@@ -256,8 +273,9 @@ class OptionalPool : public fault::SupervisedPool {
   /// counters.  Shared by both backends.
   void execute_part(Slot& slot, int part, const JobContext& job,
                     obs::TraceBuffer* trace);
-  /// Waits for the round countdown to hit zero (kFutexWord backend);
-  /// abs_deadline < 0 waits forever.  False iff the deadline passed first.
+  /// Waits for the round countdown to hit zero (futex backends), spinning
+  /// first as the spin rule allows; abs_deadline < 0 waits forever.
+  /// False iff the deadline passed first.
   bool wait_completion_word(Nanos abs_deadline);
   /// Raises the force flags of parts [0, count) — lock-free.
   void force_parts(int count);
@@ -282,6 +300,9 @@ class OptionalPool : public fault::SupervisedPool {
   // must not share its line (or each other's) or the final decrements
   // serialize on cache-line ownership.
   alignas(common::kCacheLine) std::atomic<std::uint32_t> remaining_{0};
+  /// Parts of this round pinned to the signaller's CPU that have not
+  /// ended yet: the signaller spins only once this reads 0.
+  alignas(common::kCacheLine) std::atomic<int> local_parts_{0};
   /// kFutexBatch eventcount: bumped once per fan-out (and per recovery /
   /// shutdown broadcast); all parked workers sleep on this one word.
   alignas(common::kCacheLine) std::atomic<std::uint32_t> wake_gen_{0};

@@ -1,8 +1,13 @@
 // Direct tests of the shared OptionalPool (the Fig. 6/7 protocol engine
-// behind both ImpreciseTask and MultiPhaseTask).
+// behind both ImpreciseTask and MultiPhaseTask) and of its spin rule.
 #include "core/optional_pool.hpp"
 
+#include <sched.h>
+
 #include "core/assignment.hpp"
+#include "core/multi_phase_task.hpp"
+#include "core/spin_rule.hpp"
+#include "rt/periodic_clock.hpp"
 #include "rt/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +17,7 @@
 namespace rtseed::core {
 namespace {
 
+using common::micros;
 using common::millis;
 using common::monotonic_now;
 using common::Nanos;
@@ -82,6 +88,9 @@ TEST(OptionalPool, PartialRoundSignalsOnlyRequestedParts) {
   EXPECT_LE(max_part.load(), 1);  // parts 2,3 never signalled
 }
 
+#if !defined(RTSEED_TSAN)
+// Only a signal jump can stop this pure CPU loop, and tsan cannot model
+// siglongjmp out of a handler: excluded from the tsan run.
 TEST(OptionalPool, OverrunningPartsTerminatedAtOd) {
   OptionalPool pool(pool_options(2),
                     [](const JobContext&, int, StopToken&) {
@@ -97,6 +106,7 @@ TEST(OptionalPool, OverrunningPartsTerminatedAtOd) {
   EXPECT_GE(round.all_ended - before, millis(19));
   EXPECT_LT(round.all_ended - before, millis(80));
 }
+#endif  // !RTSEED_TSAN
 
 TEST(OptionalPool, SignalTimestampsOrdered) {
   OptionalPool pool(pool_options(2),
@@ -150,6 +160,137 @@ TEST(OptionalPool, CpuAccessorMatchesAssignment) {
               assign_cpu(topology, AssignmentPolicy::kOneByOne, k));
   }
   EXPECT_EQ(pool.size(), 3);
+}
+
+// ---- spin rule (pure) ------------------------------------------------------
+
+TEST(SpinRule, NoSpinWhileAPartSharesTheCallersCpu) {
+  EXPECT_EQ(spin_rule::completion_spin(4, /*part_on_caller_cpu=*/true), 0);
+  EXPECT_EQ(spin_rule::completion_spin(4, false), spin_rule::kCompletionSpin);
+  EXPECT_EQ(spin_rule::worker_spin(4, /*shares_signaller_cpu=*/true, 0), 0);
+  EXPECT_EQ(spin_rule::worker_spin(4, false, 0), spin_rule::kWorkerSpin);
+}
+
+TEST(SpinRule, NoSpinOnOneCpu) {
+  EXPECT_EQ(spin_rule::completion_spin(1, false), 0);
+  EXPECT_EQ(spin_rule::worker_spin(1, false, 0), 0);
+  EXPECT_EQ(spin_rule::spin_budget(micros(50), 1, false), 0);
+  EXPECT_EQ(spin_rule::spin_budget(micros(50), 2, false), micros(50));
+}
+
+TEST(SpinRule, WorkerStopsAfterLongGapAndResumesAfterShortGap) {
+  const Nanos period_gap = millis(1);  // a periodic task's next job
+  const Nanos back_to_back_gap = micros(5);  // the next phase of a job
+  EXPECT_EQ(spin_rule::worker_spin(4, false, back_to_back_gap),
+            spin_rule::kWorkerSpin);
+  EXPECT_EQ(spin_rule::worker_spin(4, false, period_gap), 0);
+  EXPECT_EQ(spin_rule::worker_spin(4, false, back_to_back_gap),
+            spin_rule::kWorkerSpin);
+  // The boundary: a command that arrived exactly at the budget's end would
+  // have been caught by the spin.
+  EXPECT_EQ(spin_rule::worker_spin(4, false, spin_rule::kWorkerSpin),
+            spin_rule::kWorkerSpin);
+  EXPECT_EQ(spin_rule::worker_spin(4, false, spin_rule::kWorkerSpin + 1), 0);
+  // A command published before the worker began waiting.
+  EXPECT_EQ(spin_rule::worker_spin(4, false, -micros(3)),
+            spin_rule::kWorkerSpin);
+}
+
+TEST(SpinRule, SpinIsBoundedByTimeNotIterations) {
+  int polls = 0;
+  EXPECT_FALSE(spin_rule::spin_until(0, [&] { return ++polls, false; }));
+  EXPECT_EQ(polls, 1);  // no budget: one look, no PAUSE
+  const Nanos budget = micros(200);
+  const Nanos before = monotonic_now();
+  EXPECT_FALSE(spin_rule::spin_until(budget, [] { return false; }));
+  const Nanos spun = monotonic_now() - before;
+  EXPECT_GE(spun, budget);
+  EXPECT_LT(spun, millis(500));  // generous: a preempted spinner overshoots
+  polls = 0;
+  EXPECT_TRUE(spin_rule::spin_until(millis(500), [&] { return ++polls == 3; }));
+  EXPECT_EQ(polls, 3);
+}
+
+// ---- spin rule in the pool -------------------------------------------------
+
+// The paper's kOneByOne placement puts part 0 on the mandatory thread's
+// CPU.  A caller pinned there at a higher FIFO priority (the mandatory
+// thread's shape) must park, not spin, or part 0 cannot run; every round,
+// back-to-back or spaced like a periodic job, must complete.  With np = 3
+// the other parts run elsewhere, so part 0's end also hands the caller
+// back its CPU to spin for them.
+TEST(OptionalPool, CallerOnPartZeroCpuCompletesEveryRound) {
+  for (const int np : {1, 3}) {
+    auto options = pool_options(np);
+    const common::CpuId shared = options.cpus[0];
+    std::atomic<int> runs{0};
+    OptionalPool pool(std::move(options),
+                      [&](const JobContext&, int, StopToken&) { ++runs; });
+    ASSERT_TRUE(pool.start().is_ok());
+    constexpr int kRounds = 200;
+    int completed = 0;
+    int terminated = 0;
+    int on_shared_cpu = 0;
+    rt::ThreadConfig tc;
+    tc.name = "pool.m";
+    tc.fifo_priority = rt::rt_capabilities().sched_fifo ? 60 : 0;
+    tc.affinity = rt::CpuSet::single(shared);
+    rt::RtThread caller(tc, [&] {
+      for (int r = 0; r < kRounds; ++r) {
+        on_shared_cpu += sched_getcpu() == shared ? 1 : 0;
+        const auto round = pool.run_round(job_with_od(millis(50)), np);
+        completed += round.completed;
+        terminated += round.terminated;
+        // Every other round leaves a periodic-job gap, so the worker's
+        // self-tuned spin is exercised in both directions.
+        if (r % 2 == 1) rt::sleep_for(micros(300));
+      }
+    });
+    caller.join();
+    pool.shutdown();
+    EXPECT_EQ(completed, kRounds * np) << "np=" << np;
+    EXPECT_EQ(terminated, 0) << "np=" << np;
+    EXPECT_EQ(runs.load(), kRounds * np) << "np=" << np;
+    if (caller.config_status().is_ok()) {
+      EXPECT_EQ(on_shared_cpu, kRounds) << "np=" << np;
+    }
+  }
+}
+
+// A multi-phase job signals its phases back to back, so its workers keep
+// their (time-bounded) spin between rounds; every phase of every job must
+// still run all of its parts.
+TEST(OptionalPool, MultiPhaseBackToBackRoundsComplete) {
+  MultiPhaseConfig mc;
+  mc.params.name = "b2b";
+  mc.params.period = millis(40);
+  mc.params.mandatory = {millis(1), millis(1), millis(1), millis(1)};
+  mc.params.optional = {{millis(1), millis(1)},
+                        {millis(1), millis(1)},
+                        {millis(1), millis(1)}};
+  mc.num_jobs = 5;
+  std::atomic<long> part_runs{0};
+  mc.callbacks.optional = [&](const JobContext&, int, int, StopToken&) {
+    ++part_runs;
+  };
+  const auto plan = plan_single_multi_phase(mc.params);
+  ASSERT_TRUE(plan.has_value()) << plan.status().to_string();
+  const auto topology = rt::Topology::native();  // the task keeps a reference
+  MultiPhaseTask task(mc, *plan, {}, topology);
+  ASSERT_TRUE(task.start().is_ok());
+  task.wait_finished();
+  task.stop();
+  const auto records = task.drain_records();
+  ASSERT_EQ(records.size(), 5u);
+  for (const auto& rec : records) {
+    ASSERT_EQ(rec.phases.size(), 3u);
+    for (const auto& phase : rec.phases) {
+      EXPECT_EQ(phase.completed, 2) << "job " << rec.job;
+      EXPECT_EQ(phase.terminated, 0) << "job " << rec.job;
+      EXPECT_EQ(phase.discarded, 0) << "job " << rec.job;
+    }
+  }
+  EXPECT_EQ(part_runs.load(), 30);
 }
 
 }  // namespace
