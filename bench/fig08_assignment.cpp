@@ -12,7 +12,7 @@ using namespace rtseed;
 namespace {
 
 bool print_policy(core::AssignmentPolicy policy, int np,
-                  const rt::Topology& topology) {
+                  const common::Topology& topology) {
   const auto counts = core::parts_per_core(topology, policy, np);
   std::printf("--- %s, np=%d ---\n",
               core::assignment_policy_name(policy), np);
@@ -36,7 +36,7 @@ bool expect(bool condition, const char* what) {
 }  // namespace
 
 int main() {
-  const auto phi = rt::Topology::xeon_phi_3120a();
+  const auto phi = common::Topology::xeon_phi_3120a();
   constexpr int kNp = 171;
 
   std::printf("=== Figure 8: assigning %d parallel optional parts on %s ===\n\n",

@@ -27,12 +27,12 @@
 #include "common/arena.hpp"
 #include "common/inplace_function.hpp"
 #include "common/time.hpp"
+#include "common/topology.hpp"
 #include "core/assignment.hpp"
 #include "core/optional_pool.hpp"
 #include "host_info.hpp"
 #include "obs/hotpath_audit.hpp"
 #include "rt/futex.hpp"
-#include "rt/topology.hpp"
 
 namespace {
 
@@ -130,7 +130,7 @@ RoundMetrics bench_round(core::WakeBackend backend) {
   options.termination = core::TerminationStrategy::kPeriodicCheck;
   options.fifo_priority = 0;  // unprivileged
   options.cpus = core::assign_optional_parts(
-      rt::Topology::native(), core::AssignmentPolicy::kTopologyAware, kNp);
+      common::Topology::native(), core::AssignmentPolicy::kTopologyAware, kNp);
   options.name_prefix = "dispatch";
   options.completion_margin = common::millis(50);
   options.wake_backend = backend;
@@ -215,17 +215,14 @@ int main(int argc, char** argv) {
   std::printf("[arena]  heap new+delete:   %6.2f ns/op\n", heap_ns);
 
   const RoundMetrics batch = bench_round(core::WakeBackend::kFutexBatch);
-  const RoundMetrics word = bench_round(core::WakeBackend::kFutexWord);
   const RoundMetrics condvar = bench_round(core::WakeBackend::kCondvar);
   print_round("futex-batch", batch);
-  print_round("futex-word", word);
   print_round("condvar", condvar);
 
   const bool hook = obs::alloc_hook_installed();
-  const long steady_allocs =
-      (batch.allocs < 0 || word.allocs < 0 || condvar.allocs < 0)
-          ? -1
-          : batch.allocs + word.allocs + condvar.allocs;
+  const long steady_allocs = (batch.allocs < 0 || condvar.allocs < 0)
+                                 ? -1
+                                 : batch.allocs + condvar.allocs;
   std::printf("\nalloc hook: %s   steady-state allocs (all backends): %ld\n",
               hook ? "installed" : "ABSENT", steady_allocs);
 
@@ -249,8 +246,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"arena_alloc_ns\": %.3f,\n", arena_ns);
     std::fprintf(f, "  \"heap_alloc_ns\": %.3f,\n", heap_ns);
     json_round(f, "batch", batch);
-    std::fprintf(f, ",\n");
-    json_round(f, "word", word);
     std::fprintf(f, ",\n");
     json_round(f, "condvar", condvar);
     std::fprintf(f, "\n}\n");

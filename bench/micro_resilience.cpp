@@ -25,6 +25,7 @@
 #include "fault/injector.hpp"
 #include "fault/supervisor.hpp"
 #include "fault/watchdog.hpp"
+#include "host_info.hpp"
 #include "rt/periodic_clock.hpp"
 
 namespace {
@@ -118,7 +119,7 @@ double bench_lost_wake_recovery_ms() {
   options.initial_offset = millis(5);
   options.completion_margin = millis(10);
 
-  rt::Topology topology = rt::Topology::native();
+  rtseed::common::Topology topology = rtseed::common::Topology::native();
   core::ImpreciseTask task(0, std::move(tc), placement, options, topology);
   if (!task.start().is_ok()) return -1.0;
   task.wait_finished();
@@ -230,6 +231,7 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"micro_resilience\",\n"
+                 "  \"host\": {%s},\n"
                  "  \"gate_cold_ns\": %.3f,\n"
                  "  \"gate_installed_ns\": %.3f,\n"
                  "  \"watchdog_cycle_ns\": %.1f,\n"
@@ -237,8 +239,8 @@ int main(int argc, char** argv) {
                  "  \"lost_wake_recovery_ms\": %.3f,\n"
                  "  \"stall_detection_ms\": %.3f\n"
                  "}\n",
-                 gate_cold, gate_installed, watchdog, breaker, lost_wake,
-                 stall);
+                 rtseed::bench::host_fields().c_str(), gate_cold,
+                 gate_installed, watchdog, breaker, lost_wake, stall);
     std::fclose(f);
     std::printf("\n[json] results -> %s\n", json_path.c_str());
   }

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "host_info.hpp"
 #include "sched/generator.hpp"
 #include "sim/experiment.hpp"
 #include "sim/global_scheduler.hpp"
@@ -253,13 +254,15 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"micro_sim_engine\",\n"
+                 "  \"host\": {%s},\n"
                  "  \"host_threads\": %u,\n"
                  "  \"sweep_threads\": %d,\n"
                  "  \"sweep\": {\"figure\": \"fig10\", \"serial_ms\": %.3f, "
                  "\"parallel_ms\": %.3f, \"speedup\": %.3f, "
                  "\"identical\": %s},\n"
                  "  \"des\": [\n",
-                 host_threads, sweep_threads, sweep_serial_ms,
+                 rtseed::bench::host_fields().c_str(), host_threads,
+                 sweep_threads, sweep_serial_ms,
                  sweep_parallel_ms, sweep_speedup,
                  sweep_identical ? "true" : "false");
     for (size_t i = 0; i < des.size(); ++i) {

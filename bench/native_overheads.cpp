@@ -265,8 +265,7 @@ int main(int argc, char** argv) {
                  "  \"host\": {%s, \"sched_fifo\": %s, "
                  "\"affinity\": %s},\n  \"runs\": [\n",
                  kJobs,
-                 core::wake_backend_name(
-                     core::resolve_wake_backend(core::WakeBackend::kAuto)),
+                 core::wake_backend_name(core::RuntimeOptions{}.wake_backend),
                  rtseed::bench::host_fields().c_str(),
                  caps.sched_fifo ? "true" : "false",
                  caps.affinity ? "true" : "false");

@@ -136,7 +136,7 @@ int main() {
                   .c_str(),
               common::format_duration(config.params.period).c_str());
 
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   core::MultiPhaseTask task(std::move(config), *placement, {}, topology);
   if (auto st = task.start(); !st) {
     std::fprintf(stderr, "start failed: %s\n", st.to_string().c_str());

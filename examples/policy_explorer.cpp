@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s [np] [cores] [smt]\n", argv[0]);
     return 2;
   }
-  const auto topology = rt::Topology::uniform(cores, smt);
+  const auto topology = common::Topology::uniform(cores, smt);
   std::printf("=== policy explorer: np=%d on %s ===\n\n", np,
               topology.to_string().c_str());
 

@@ -1,14 +1,14 @@
-// Shared-memory twin of common::MessagePool — the allocation side of the
-// MULTI-PROCESS shard transport (DESIGN.md §14).
+// Fixed pool of message cells in shared memory — the allocation side of
+// the shard transport, in-process and MULTI-PROCESS (DESIGN.md §12, §14).
 //
-// Same algorithm (tagged Treiber free list over cache-aligned cells, u32
-// index currency, ABA-safe head word), different storage: the header and
-// every cell live in caller-provided bytes — a ShmSegment mapped by the
-// supervising parent and every forked shard worker.  A cell acquired in
-// one process and released in another goes through the same lock-free
-// head word, because that word is in the segment too; the heap-backed
-// MessagePool could never offer that (its cells are copy-on-write after
-// fork, so a child's release would be invisible to the parent).
+// A tagged Treiber free list over cache-aligned cells, u32 index
+// currency, ABA-safe head word.  The header and every cell live in
+// caller-provided bytes — a ShmSegment mapped by the supervising parent
+// and every forked shard worker.  A cell acquired in one process and
+// released in another goes through the same lock-free head word, because
+// that word is in the segment too; heap-backed cells could never offer
+// that (they are copy-on-write after fork, so a child's release would be
+// invisible to the parent).
 //
 // Like ShmSpscRing, this class is a VIEW: create() formats the bytes
 // once (exactly one participant, before any attach()), attach() validates

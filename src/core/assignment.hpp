@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/topology.hpp"
-#include "rt/topology.hpp"  // compat alias: rt::Topology == common::Topology
 
 namespace rtseed::core {
 

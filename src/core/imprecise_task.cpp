@@ -37,7 +37,7 @@ bool run_guarded(const char* part, const char* task, Fn&& fn) {
 ImpreciseTask::ImpreciseTask(common::TaskId id, TaskConfig config,
                              TaskPlacement placement,
                              TaskRuntimeOptions options,
-                             const rt::Topology& topology)
+                             const common::Topology& topology)
     : id_(id),
       config_(std::move(config)),
       placement_(placement),

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "common/spsc_ring.hpp"
+#include "common/topology.hpp"
 #include "core/assignment.hpp"
 #include "core/job_record.hpp"
 #include "core/optional_pool.hpp"
@@ -39,7 +40,6 @@
 #include "fault/watchdog.hpp"
 #include "obs/telemetry.hpp"
 #include "rt/thread.hpp"
-#include "rt/topology.hpp"
 
 namespace rtseed::core {
 
@@ -61,7 +61,7 @@ struct TaskRuntimeOptions {
   /// release of all tasks).
   Nanos initial_offset = common::millis(10);
   /// Mandatory↔optional handoff mechanism (see core::WakeBackend).
-  WakeBackend wake_backend = WakeBackend::kAuto;
+  WakeBackend wake_backend = WakeBackend::kFutexBatch;
   /// Per-job budget watchdog over the mandatory and wind-up parts
   /// (disabled by default; see fault::WatchdogConfig).
   fault::WatchdogConfig watchdog;
@@ -82,7 +82,7 @@ class ImpreciseTask {
  public:
   /// `topology` must outlive the task.
   ImpreciseTask(common::TaskId id, TaskConfig config, TaskPlacement placement,
-                TaskRuntimeOptions options, const rt::Topology& topology);
+                TaskRuntimeOptions options, const common::Topology& topology);
 
   ImpreciseTask(const ImpreciseTask&) = delete;
   ImpreciseTask& operator=(const ImpreciseTask&) = delete;
@@ -180,7 +180,7 @@ class ImpreciseTask {
   const TaskConfig config_;
   const TaskPlacement placement_;
   const TaskRuntimeOptions options_;
-  const rt::Topology& topology_;
+  const common::Topology& topology_;
 
   std::unique_ptr<OptionalPool> pool_;
   std::unique_ptr<rt::RtThread> mandatory_thread_;

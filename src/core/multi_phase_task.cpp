@@ -45,7 +45,7 @@ int max_parts(const sched::MultiPhaseTaskParams& params) {
 MultiPhaseTask::MultiPhaseTask(MultiPhaseConfig config,
                                MultiPhasePlacement placement,
                                TaskRuntimeOptions options,
-                               const rt::Topology& topology)
+                               const common::Topology& topology)
     : config_(std::move(config)),
       placement_(std::move(placement)),
       options_(options),

@@ -21,12 +21,12 @@
 #include "common/fixed_vector.hpp"
 #include "common/inplace_function.hpp"
 #include "common/spsc_ring.hpp"
+#include "common/topology.hpp"
 #include "core/assignment.hpp"
 #include "core/imprecise_task.hpp"
 #include "core/optional_pool.hpp"
 #include "sched/mrmwp.hpp"
 #include "rt/thread.hpp"
-#include "rt/topology.hpp"
 
 namespace rtseed::core {
 
@@ -80,7 +80,7 @@ struct MultiPhaseJobRecord {
 class MultiPhaseTask {
  public:
   MultiPhaseTask(MultiPhaseConfig config, MultiPhasePlacement placement,
-                 TaskRuntimeOptions options, const rt::Topology& topology);
+                 TaskRuntimeOptions options, const common::Topology& topology);
 
   MultiPhaseTask(const MultiPhaseTask&) = delete;
   MultiPhaseTask& operator=(const MultiPhaseTask&) = delete;
@@ -106,7 +106,7 @@ class MultiPhaseTask {
   const MultiPhaseConfig config_;
   const MultiPhasePlacement placement_;
   const TaskRuntimeOptions options_;
-  const rt::Topology& topology_;
+  const common::Topology& topology_;
 
   std::unique_ptr<OptionalPool> pool_;
   std::unique_ptr<rt::RtThread> mandatory_thread_;

@@ -4,43 +4,36 @@
 // (multiple mandatory parts with an optional phase after each — the
 // paper's future work, ref [33]) reuse the same machinery:
 //
-//   * threads park until the mandatory thread signals them (one wake per
-//     thread, never broadcast — paper §IV-C);
+//   * threads park until the mandatory thread signals them;
 //   * each signalled part runs its body under the configured termination
 //     strategy with a per-thread one-shot optional-deadline timer;
 //   * the last part to end wakes the caller for the next mandatory
 //     segment / wind-up part.
 //
-// Three interchangeable wake backends (A/B-measured by
-// bench/micro_wake_path and bench/micro_dispatch):
+// Two wake backends:
 //
-//   kFutexBatch — the default fast path.  Per-slot command words as in
-//     kFutexWord, but the fan-out wake is BATCHED through one shared
-//     eventcount word (wake_gen_): the signaller publishes all k command
-//     words first, bumps the generation once, and issues at most ONE
-//     FUTEX_WAKE(INT_MAX) — 1 syscall per fan-out instead of up to k.
-//     Workers load the generation, re-check their own command word, and
-//     only then sleep on the generation word, so the bump-after-publish
-//     ordering makes the per-slot lost-wake window structurally
-//     impossible: a worker that reads the new generation must also see
-//     its command, and a worker that read the old generation is caught by
-//     the kernel's word revalidation at FUTEX_WAIT entry.  Recovery and
-//     shutdown reuse the same single batched wake.
+//   kFutexBatch — the default.  Per-slot command words; the fan-out wake
+//     is BATCHED through one shared eventcount word (wake_gen_): the
+//     signaller publishes all k command words first, bumps the generation
+//     once, and issues at most ONE FUTEX_WAKE(INT_MAX) — 1 syscall per
+//     fan-out instead of up to k.  Workers load the generation, re-check
+//     their own command word, and only then sleep on the generation word,
+//     so the bump-after-publish ordering makes the per-slot lost-wake
+//     window structurally impossible: a worker that reads the new
+//     generation must also see its command, and a worker that read the old
+//     generation is caught by the kernel's word revalidation at FUTEX_WAIT
+//     entry.  Recovery and shutdown reuse the same single batched wake.
 //
-//   kFutexWord — the per-slot protocol.  Signalling a part is one
-//     release-exchange plus one FUTEX_WAKE per parked worker (skipped
-//     entirely when the worker is still spinning between back-to-back
-//     rounds).  Kept as the A/B baseline for the batch protocol.
-//     In both futex backends round completion is a single atomic
-//     countdown whose last decrementer issues at most one wake of the
-//     mandatory thread; the timeout/forcing path waits on an absolute
-//     CLOCK_MONOTONIC deadline (FUTEX_WAIT_BITSET).  Forcing stragglers
-//     is lock-free: each slot owns an atomic force flag that the part's
-//     StopToken observes (StopToken::bind_force_flag), so the mandatory
-//     thread writes a stable flag instead of dereferencing a pointer into
-//     the worker's stack.
+//     Round completion is a single atomic countdown whose last decrementer
+//     issues at most one wake of the mandatory thread; the timeout/forcing
+//     path waits on an absolute CLOCK_MONOTONIC deadline
+//     (FUTEX_WAIT_BITSET).  Forcing stragglers is lock-free: each slot
+//     owns an atomic force flag that the part's StopToken observes
+//     (StopToken::bind_force_flag), so the mandatory thread writes a
+//     stable flag instead of dereferencing a pointer into the worker's
+//     stack.
 //
-//     Both futex backends spin before they park, under one rule
+//     Both sides spin before they park, under one rule
 //     (core/spin_rule.hpp): a thread spins only while the thread it waits
 //     for can run at the same time, for a bounded number of NANOSECONDS.
 //     The mandatory thread does not spin while a part pinned to its own
@@ -49,10 +42,11 @@
 //     and a worker whose previous command came later than its spin
 //     budget (a periodic task's next job) parks at once too.
 //
-//   kCondvar — the paper-verbatim per-slot mutex+condvar protocol, kept
-//     compiled as the A/B baseline, with its timed wait fixed to run on
-//     CLOCK_MONOTONIC (rt::MonotonicCond) instead of assuming
-//     steady_clock shares clock_gettime's epoch.
+//   kCondvar — the paper-verbatim per-slot mutex+condvar protocol (one
+//     notify per part, never broadcast — paper §IV-C), kept compiled as
+//     the Fig. 6 baseline, with its timed wait fixed to run on
+//     CLOCK_MONOTONIC (rt::MonotonicCond) instead of assuming steady_clock
+//     shares clock_gettime's epoch.
 //
 // Steady-state allocation contract (DESIGN.md §11): after start(), a
 // round performs ZERO heap allocations — slots live in one contiguous
@@ -81,20 +75,14 @@
 namespace rtseed::core {
 
 /// How the mandatory thread hands work to (and collects completions from)
-/// the optional threads.
+/// the optional threads.  The values are stable: parameterized test names
+/// print them.
 enum class WakeBackend {
-  kAuto,       ///< kFutexBatch unless overridden via RTSEED_WAKE_BACKEND env
-  kFutexBatch, ///< per-slot words + ONE batched wake per fan-out — default
-  kFutexWord,  ///< per-slot words + per-slot wakes — the batch A/B baseline
-  kCondvar,    ///< legacy mutex+condvar protocol — the paper baseline
+  kFutexBatch = 1, ///< per-slot words + ONE batched wake per fan-out — default
+  kCondvar = 3,    ///< legacy mutex+condvar protocol — the paper baseline
 };
 
 const char* wake_backend_name(WakeBackend backend);
-
-/// Resolves kAuto: the RTSEED_WAKE_BACKEND environment variable
-/// ("futex-batch"/"futex"/"condvar") wins, otherwise kFutexBatch.
-/// Explicit requests pass through untouched.
-WakeBackend resolve_wake_backend(WakeBackend requested);
 
 class OptionalPool : public fault::SupervisedPool {
  public:
@@ -112,7 +100,7 @@ class OptionalPool : public fault::SupervisedPool {
     std::string name_prefix;         ///< thread names: <prefix>.o<k>
     /// Grace past the optional deadline before stop tokens are forced.
     Nanos completion_margin = common::millis(100);
-    WakeBackend wake_backend = WakeBackend::kAuto;
+    WakeBackend wake_backend = WakeBackend::kFutexBatch;
     /// Repair the blocked-signal defect of kTryCatch terminations
     /// (TerminationOptions::repair_signal_mask; OFF = paper-faithful).
     bool repair_signal_mask = true;
@@ -164,11 +152,10 @@ class OptionalPool : public fault::SupervisedPool {
     return body_errors_.load(std::memory_order_relaxed);
   }
 
-  /// Wakes re-issued by run_round's lost-wake recovery loop: a worker that
-  /// committed to sleeping just before the signaller's exchange landed can
-  /// miss its wake (the kernel validates the word only at FUTEX_WAIT
-  /// entry); the recovery path re-wakes any slot whose command word still
-  /// reads ready instead of waiting forever.
+  /// Wakes re-issued by run_round's lost-wake recovery loop: when a wake
+  /// is lost (swallowed or late, or a condvar notify that raced the
+  /// worker's predicate check), the recovery path re-wakes any slot whose
+  /// command still reads ready instead of waiting forever.
   long wake_retries() const {
     return wake_retries_.load(std::memory_order_relaxed);
   }
@@ -196,7 +183,7 @@ class OptionalPool : public fault::SupervisedPool {
   void set_caller_trace(obs::TraceBuffer* trace) { caller_trace_ = trace; }
 
  private:
-  // Command-word states (kFutexWord backend).  kParked means the worker
+  // Command-word states (kFutexBatch backend).  kParked means the worker
   // has committed to sleeping in FUTEX_WAIT — the signaller only pays the
   // wake syscall when it observes this value.
   static constexpr std::uint32_t kCmdIdle = 0;

@@ -26,12 +26,12 @@
 namespace rtseed::core {
 
 struct RuntimeOptions {
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
   AssignmentPolicy policy = AssignmentPolicy::kOneByOne;
   TerminationStrategy termination = TerminationStrategy::kSigjmp;
-  /// Mandatory↔optional handoff: futex word fast path (default) or the
-  /// legacy condvar protocol (A/B baseline; see core::WakeBackend).
-  WakeBackend wake_backend = WakeBackend::kAuto;
+  /// Mandatory↔optional handoff: the batched futex protocol (default) or
+  /// the paper's condvar protocol (Fig. 6 baseline; see core::WakeBackend).
+  WakeBackend wake_backend = WakeBackend::kFutexBatch;
   sched::PRmwpOptions analysis;
   /// Mirror task transitions into a user-space ReadyQueues structure
   /// (observable via queue_snapshot(); small locking cost per transition).
@@ -124,7 +124,7 @@ class Runtime {
 
   bool started() const { return started_; }
   int num_tasks() const { return static_cast<int>(configs_.size()); }
-  const rt::Topology& topology() const { return options_.topology; }
+  const common::Topology& topology() const { return options_.topology; }
 
   /// Snapshot of the mirrored queue sizes (requires mirror_queues).
   struct QueueSnapshot {

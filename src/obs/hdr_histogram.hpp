@@ -1,6 +1,5 @@
 // Log-bucketed latency histogram with wait-free recording and exact
-// p50/p99/p99.9/max — the tail-latency replacement for the linear-bucket
-// obs::Histogram on latency-class metrics.
+// p50/p99/p99.9/max — the metrics registry's one histogram type.
 //
 // Bucket layout (HdrHistogram-style log-linear): 32 linear sub-buckets per
 // octave, so every recorded value lands in a bucket whose width is at most

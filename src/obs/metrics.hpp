@@ -1,5 +1,5 @@
-// Lock-free metrics registry: counters, gauges, and fixed-bucket latency
-// histograms.
+// Lock-free metrics registry: counters, gauges, and log-bucketed latency
+// histograms (obs::HdrHistogram).
 //
 // Registration (naming an instrument) takes a mutex and may allocate, so
 // it belongs in setup code — Runtime::start(), pool construction, tests.
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "common/types.hpp"
 #include "obs/hdr_histogram.hpp"
 
@@ -26,7 +25,7 @@ namespace rtseed::obs {
 /// Prometheus-style key/value labels, e.g. {{"task", "tau1"}}.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-enum class MetricType { kCounter, kGauge, kHistogram, kHdrHistogram };
+enum class MetricType { kCounter, kGauge, kHdrHistogram };
 
 /// Prometheus-facing TYPE name (kHdrHistogram renders as "histogram").
 const char* metric_type_name(MetricType type);
@@ -62,54 +61,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Linear-bucket histogram with wait-free recording: the atomic twin of
-/// common::Histogram.  Out-of-range samples land in underflow/overflow;
-/// sum/count make Prometheus _sum/_count exact even when samples overflow
-/// the bucket range.
-class Histogram {
- public:
-  /// Requires hi > lo and buckets >= 1.
-  Histogram(double lo, double hi, common::usize buckets);
-
-  void record(double x);
-
-  common::u64 count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
-  common::u64 underflow() const {
-    return underflow_.load(std::memory_order_relaxed);
-  }
-  common::u64 overflow() const {
-    return overflow_.load(std::memory_order_relaxed);
-  }
-  common::usize bucket_count() const { return counts_.size(); }
-  common::u64 bucket(common::usize i) const {
-    return counts_[i].load(std::memory_order_relaxed);
-  }
-  double bucket_lo(common::usize i) const {
-    return lo_ + width_ * static_cast<double>(i);
-  }
-  double bucket_hi(common::usize i) const {
-    return lo_ + width_ * static_cast<double>(i + 1);
-  }
-
-  /// Aggregate-on-read: snapshots the atomic buckets into a
-  /// common::Histogram (bucket-midpoint semantics) for rendering and
-  /// percentile estimation.
-  common::Histogram materialize() const;
-
- private:
-  const double lo_;
-  const double hi_;
-  const double width_;
-  std::vector<std::atomic<common::u64>> counts_;
-  std::atomic<common::u64> count_{0};
-  std::atomic<common::u64> underflow_{0};
-  std::atomic<common::u64> overflow_{0};
-  std::atomic<double> sum_{0.0};
-};
-
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -123,11 +74,6 @@ class MetricsRegistry {
                    Labels labels = {});
   Gauge* gauge(const std::string& name, const std::string& help,
                Labels labels = {});
-  /// Histogram buckets are linear over [lo, hi); the unit is whatever the
-  /// caller records (middleware overheads use microseconds).
-  Histogram* histogram(const std::string& name, const std::string& help,
-                       double lo, double hi, common::usize buckets,
-                       Labels labels = {});
   /// Log-bucketed tail-latency histogram (obs::HdrHistogram): no range to
   /// configure; latency-class metrics record nanoseconds.
   HdrHistogram* hdr_histogram(const std::string& name,
@@ -141,7 +87,6 @@ class MetricsRegistry {
     // Exactly one is non-null, matching `type`.
     Counter* counter = nullptr;
     Gauge* gauge = nullptr;
-    Histogram* histogram = nullptr;
     HdrHistogram* hdr = nullptr;
   };
 
@@ -156,7 +101,6 @@ class MetricsRegistry {
     Entry entry;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<HdrHistogram> hdr;
   };
 

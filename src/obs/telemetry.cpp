@@ -327,27 +327,6 @@ std::string Telemetry::summary() {
                        common::format_double(entry.gauge->value(), 3), "-",
                        "-", "-", "-"});
         break;
-      case MetricType::kHistogram: {
-        const auto h = entry.histogram->materialize();
-        const auto n = entry.histogram->count();
-        const double mean =
-            n == 0 ? 0.0
-                   : entry.histogram->sum() / static_cast<double>(n);
-        // Out-of-range samples must not disappear from the rendering.
-        std::string value = "n=" + std::to_string(n) +
-                            " mean=" + common::format_double(mean, 1);
-        if (entry.histogram->underflow() > 0) {
-          value += " uf=" + std::to_string(entry.histogram->underflow());
-        }
-        if (entry.histogram->overflow() > 0) {
-          value += " of=" + std::to_string(entry.histogram->overflow());
-        }
-        table.add_row({entry.name, labels, std::move(value),
-                       common::format_double(h.percentile(0.50), 1),
-                       common::format_double(h.percentile(0.99), 1),
-                       common::format_double(h.percentile(0.999), 1), "-"});
-        break;
-      }
       case MetricType::kHdrHistogram: {
         const auto* h = entry.hdr;
         table.add_row({entry.name, labels,

@@ -58,9 +58,6 @@ WakeStats wake_stats();
 /// increments may straddle the reset; callers quiesce the pool first.
 void reset_wake_stats();
 
-/// "futex" or "atomic-wait" — for bench/report labels.
-const char* wait_backend_name();
-
 /// Wakes up to `count` threads blocked in wait_word/wait_word_until on
 /// `word`.  A no-op when nobody is waiting (callers are expected to skip
 /// even this call when they know the waiter is spinning, not sleeping).

@@ -8,9 +8,9 @@
 // common::monotonic_now() nanoseconds handed straight to
 // pthread_cond_timedwait on a CLOCK_MONOTONIC-attributed condvar.
 //
-// Used by the OptionalPool's legacy condvar backend (the A/B baseline for
-// the futex wake path) and usable anywhere an OD-relative timeout must be
-// immune to wall-clock steps.
+// Used by the OptionalPool's condvar backend (the paper's Fig. 6 protocol,
+// kept as the baseline for the batched futex wake path) and usable
+// anywhere an OD-relative timeout must be immune to wall-clock steps.
 #pragma once
 
 #include <pthread.h>

@@ -1,7 +1,7 @@
 // The one message schema that crosses a shard boundary (DESIGN.md §12).
 //
 // ShardMessage is a fixed-size trivially-copyable POD: it lives in a
-// common::MessagePool cell, and only its u32 pool INDEX travels through
+// common::ShmMessagePool cell, and only its u32 pool INDEX travels through
 // the transport rings, so a message is written once by its producer and
 // read in place by its consumer — zero copies, zero allocations, valid
 // across address spaces.

@@ -16,7 +16,7 @@ namespace rtseed::sim {
 
 struct FigureConfig {
   OverheadKind kind = OverheadKind::kBeginMandatory;
-  rt::Topology topology = rt::Topology::xeon_phi_3120a();
+  common::Topology topology = common::Topology::xeon_phi_3120a();
   std::vector<int> np_set = {4, 8, 16, 32, 57, 114, 171, 228};
   int jobs = 100;           ///< the paper runs 100 jobs of τ1
   common::u64 seed = 2014;  ///< deterministic experiments

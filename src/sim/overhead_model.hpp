@@ -12,8 +12,8 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/topology.hpp"
 #include "core/assignment.hpp"
-#include "rt/topology.hpp"
 #include "sim/contention.hpp"
 
 namespace rtseed::sim {
@@ -28,7 +28,7 @@ enum class OverheadKind {
 const char* overhead_kind_name(OverheadKind kind);
 
 struct OverheadScenario {
-  rt::Topology topology = rt::Topology::xeon_phi_3120a();
+  common::Topology topology = common::Topology::xeon_phi_3120a();
   core::AssignmentPolicy policy = core::AssignmentPolicy::kOneByOne;
   LoadKind load = LoadKind::kNone;
   int num_optional_parts = 4;

@@ -26,7 +26,7 @@
 namespace rtseed::sim {
 
 struct QosScenario {
-  rt::Topology topology = rt::Topology::xeon_phi_3120a();
+  common::Topology topology = common::Topology::xeon_phi_3120a();
   core::AssignmentPolicy policy = core::AssignmentPolicy::kOneByOne;
   LoadKind load = LoadKind::kNone;
   /// The paper's task: T = 1 s, m = w = 250 ms -> OD − m = 500 ms window.

@@ -12,7 +12,7 @@
 namespace rtseed::core {
 namespace {
 
-const rt::Topology kPhi = rt::Topology::xeon_phi_3120a();
+const common::Topology kPhi = common::Topology::xeon_phi_3120a();
 
 TEST(Assignment, PolicyNames) {
   EXPECT_STREQ(assignment_policy_name(AssignmentPolicy::kOneByOne),
@@ -124,7 +124,7 @@ TEST(Assignment, PaperNpSetNeverExceedsCounts) {
 }
 
 TEST(Assignment, SmtOneTopologyDegeneratesToRoundRobin) {
-  const auto flat = rt::Topology::uniform(4, 1);
+  const auto flat = common::Topology::uniform(4, 1);
   for (auto policy : {AssignmentPolicy::kOneByOne, AssignmentPolicy::kTwoByTwo,
                       AssignmentPolicy::kAllByAll}) {
     const auto cpus = assign_optional_parts(flat, policy, 4);

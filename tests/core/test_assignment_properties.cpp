@@ -29,8 +29,8 @@ std::string param_name(const ::testing::TestParamInfo<GridParam>& info) {
 
 class AssignmentGrid : public ::testing::TestWithParam<GridParam> {
  protected:
-  rt::Topology topology() const {
-    return rt::Topology::uniform(GetParam().cores, GetParam().smt);
+  common::Topology topology() const {
+    return common::Topology::uniform(GetParam().cores, GetParam().smt);
   }
 };
 

@@ -29,7 +29,7 @@ TaskConfig base_task(Nanos period, int np, long jobs) {
   return tc;
 }
 
-ImpreciseTask make_task(TaskConfig config, const rt::Topology& topology) {
+ImpreciseTask make_task(TaskConfig config, const common::Topology& topology) {
   TaskPlacement placement;
   placement.mandatory_priority = rt::rt_capabilities().sched_fifo ? 75 : 0;
   placement.optional_priority = rt::rt_capabilities().sched_fifo ? 26 : 0;
@@ -38,7 +38,7 @@ ImpreciseTask make_task(TaskConfig config, const rt::Topology& topology) {
 }
 
 TEST(FailureInjection, ThrowingMandatoryDoesNotKillTheTask) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   auto config = base_task(millis(30), 1, 4);
   std::atomic<long> windups{0};
   config.callbacks.mandatory = [](const JobContext&) {
@@ -54,7 +54,7 @@ TEST(FailureInjection, ThrowingMandatoryDoesNotKillTheTask) {
 }
 
 TEST(FailureInjection, ThrowingWindupDoesNotKillTheTask) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   auto config = base_task(millis(30), 1, 3);
   std::atomic<long> mandatories{0};
   config.callbacks.mandatory = [&](const JobContext&) { ++mandatories; };
@@ -70,7 +70,7 @@ TEST(FailureInjection, ThrowingWindupDoesNotKillTheTask) {
 }
 
 TEST(FailureInjection, ThrowingOptionalCountsAsErrorAndJobContinues) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   auto config = base_task(millis(30), 2, 3);
   config.callbacks.optional = [](const JobContext&, int part, StopToken&) {
     if (part == 0) throw std::runtime_error("optional blew up");
@@ -89,7 +89,7 @@ TEST(FailureInjection, ThrowingOptionalCountsAsErrorAndJobContinues) {
 }
 
 TEST(FailureInjection, NullCallbacksAreFine) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   TaskConfig config;
   config.params.name = "empty";
   config.params.period = millis(20);
@@ -107,7 +107,7 @@ TEST(FailureInjection, NullCallbacksAreFine) {
 }
 
 TEST(FailureInjection, SlowWindupIsReportedAsDeadlineMiss) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   auto config = base_task(millis(40), 0, 3);
   config.callbacks.windup = [](const JobContext& ctx) {
     // Busy-run well past the deadline.
@@ -128,7 +128,7 @@ TEST(FailureInjection, SlowWindupIsReportedAsDeadlineMiss) {
 }
 
 TEST(FailureInjection, StopDuringLongJobJoinsCleanly) {
-  const auto topology = rt::Topology::native();
+  const auto topology = common::Topology::native();
   auto config = base_task(millis(50), 2, 0);  // open-ended
   config.callbacks.optional = [](const JobContext&, int, StopToken&) {
     volatile double sink = 1.0;

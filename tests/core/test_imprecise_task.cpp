@@ -23,7 +23,7 @@ struct Fixture {
   std::atomic<long> optional_progress{0};
   std::atomic<bool> windup_overlapped_optional{false};
 
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
 
   // `polls` selects the body style: a polling loop (required by the
   // periodic-check strategy) or a pure CPU-bound loop that can only be

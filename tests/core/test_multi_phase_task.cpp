@@ -17,7 +17,7 @@ using common::Nanos;
 struct Fixture {
   std::atomic<long> segment_runs[4] = {};
   std::atomic<long> phase_runs[4] = {};
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
 
   // T = 80 ms; three segments of ~2 ms each; two phases whose parts spin
   // until their per-phase deadline timers end them.

@@ -121,7 +121,7 @@ TEST(Runtime, AdmitAfterStartRejected) {
 
 TEST(Runtime, UnschedulableSetRejectedAtStart) {
   RuntimeOptions options = quick_options();
-  options.topology = rt::Topology::uniform(1, 1);  // single processor
+  options.topology = common::Topology::uniform(1, 1);  // single processor
   Runtime runtime(options);
   for (int i = 0; i < 3; ++i) {
     TaskConfig tc = quick_task("t" + std::to_string(i), millis(40), 0, 1,

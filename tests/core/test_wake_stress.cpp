@@ -1,6 +1,6 @@
 // Stress and pathology tests of the OptionalPool handoff protocol, run
-// against ALL wake backends (batched futex, per-slot futex word, and the
-// legacy condvar) — the suite the tsan CI entry executes.
+// against both wake backends (batched futex and the legacy condvar) — the
+// suite the tsan CI entry executes.
 //
 // Everything here uses kPeriodicCheck termination: no timers, no signals,
 // no siglongjmp — so ThreadSanitizer sees every synchronization edge and
@@ -182,7 +182,7 @@ TEST(WakeBatch, SingleWakePerFullFanOut) {
 
   // Per round: 1 batched worker wake + 1 completion wake to the mandatory
   // thread (remaining_ hitting zero), plus rare recovery re-wakes when a
-  // worker is slow to consume.  The per-slot baseline would need kPoolSize
+  // worker is slow to consume.  A per-slot protocol would need kPoolSize
   // worker wakes per round; assert we stay well under that.
   const long wakes = wakes_after - wakes_before;
   EXPECT_LE(wakes, kRounds * 3)
@@ -193,14 +193,11 @@ TEST(WakeBatch, SingleWakePerFullFanOut) {
 INSTANTIATE_TEST_SUITE_P(
     Backends, WakeProtocol,
     ::testing::Values(core::WakeBackend::kFutexBatch,
-                      core::WakeBackend::kFutexWord,
                       core::WakeBackend::kCondvar),
     [](const ::testing::TestParamInfo<core::WakeBackend>& info) {
-      switch (info.param) {
-        case core::WakeBackend::kFutexBatch: return std::string("futex_batch");
-        case core::WakeBackend::kFutexWord: return std::string("futex");
-        default: return std::string("condvar");
-      }
+      return std::string(info.param == core::WakeBackend::kFutexBatch
+                             ? "futex_batch"
+                             : "condvar");
     });
 
 }  // namespace

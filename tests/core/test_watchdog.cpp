@@ -90,7 +90,7 @@ TEST(Watchdog, ThrowingObserverIsAbsorbed) {
 TEST(Watchdog, TaskMissObserverFiresExactlyOncePerMiss) {
   std::atomic<long> misses{0};
   std::atomic<long> jobs_seen{0};
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
 
   TaskConfig tc;
   tc.params.name = "direct";

@@ -27,7 +27,7 @@ using common::Nanos;
 struct ChaosFixture {
   std::atomic<long> optional_runs{0};
   std::atomic<long> windup_runs{0};
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
 
   core::TaskConfig config(int np, long jobs, Nanos period = millis(150)) {
     core::TaskConfig tc;
@@ -93,7 +93,7 @@ void run_lost_wake(core::WakeBackend backend) {
 }
 
 TEST(FaultTsanChaos, LostWakeRecoveredFutex) {
-  run_lost_wake(core::WakeBackend::kFutexWord);
+  run_lost_wake(core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, LostWakeRecoveredCondvar) {
@@ -129,7 +129,7 @@ void run_worker_death(core::WakeBackend backend) {
 }
 
 TEST(FaultTsanChaos, WorkerDeathRespawnedFutex) {
-  run_worker_death(core::WakeBackend::kFutexWord);
+  run_worker_death(core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, WorkerDeathRespawnedCondvar) {
@@ -154,7 +154,7 @@ TEST(FaultTsanChaos, WorkerStallDetected) {
   Supervisor supervisor(sup_config);
 
   core::ImpreciseTask task(0, fx.config(1, 3), fx.placement(millis(20)),
-                           fx.options(core::WakeBackend::kFutexWord),
+                           fx.options(core::WakeBackend::kFutexBatch),
                            fx.topology);
   supervisor.watch(task.pool(), 0, "staller");
   ASSERT_TRUE(task.start().is_ok());
@@ -177,7 +177,7 @@ TEST(FaultTsanChaos, EintrStormHarmless) {
   ChaosFixture fx;
   core::ImpreciseTask task(0, fx.config(2, 4, millis(100)),
                            fx.placement(millis(30)),
-                           fx.options(core::WakeBackend::kFutexWord),
+                           fx.options(core::WakeBackend::kFutexBatch),
                            fx.topology);
   ASSERT_TRUE(task.start().is_ok());
   task.wait_finished();
@@ -231,11 +231,11 @@ void run_full_chaos(common::u64 seed, core::WakeBackend backend) {
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed1Futex) {
-  run_full_chaos(1, core::WakeBackend::kFutexWord);
+  run_full_chaos(1, core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed42Futex) {
-  run_full_chaos(42, core::WakeBackend::kFutexWord);
+  run_full_chaos(42, core::WakeBackend::kFutexBatch);
 }
 
 TEST(FaultTsanChaos, FullChaosPresetSeed42Condvar) {
@@ -272,7 +272,7 @@ TEST(ChaosSigjmp, TimerMisfireRecoveredBySupervisorKill) {
   sup_config.kill_grace = millis(10);
   Supervisor supervisor(sup_config);
 
-  auto options = fx.options(core::WakeBackend::kFutexWord);
+  auto options = fx.options(core::WakeBackend::kFutexBatch);
   options.termination = core::TerminationStrategy::kSigjmp;
   core::ImpreciseTask task(0, std::move(tc), fx.placement(millis(25)),
                            options, fx.topology);

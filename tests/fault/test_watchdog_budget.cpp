@@ -79,7 +79,7 @@ TEST(FaultTsanWatchdog, UninitializedWatchdogIsInert) {
 struct LadderFixture {
   std::atomic<long> optional_runs{0};
   std::atomic<long> windup_runs{0};
-  rt::Topology topology = rt::Topology::native();
+  common::Topology topology = common::Topology::native();
 
   // Mandatory part declares a 1 ms WCET but burns `actual`; tight budget
   // (factor 1, 2 ms slack) makes every job overrun when actual >> 3 ms.

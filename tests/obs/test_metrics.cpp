@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 namespace rtseed::obs {
 namespace {
 
@@ -33,51 +30,6 @@ TEST(Gauge, SetAndAdd) {
   EXPECT_DOUBLE_EQ(g.value(), 2.0);
 }
 
-TEST(Histogram, BucketsSamplesLinearly) {
-  Histogram h(0.0, 100.0, 10);
-  h.record(5.0);    // bucket 0
-  h.record(15.0);   // bucket 1
-  h.record(15.5);   // bucket 1
-  h.record(99.9);   // bucket 9
-  h.record(-1.0);   // underflow
-  h.record(100.0);  // overflow ([lo, hi))
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 2u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 + 15.0 + 15.5 + 99.9 - 1.0 + 100.0);
-}
-
-TEST(Histogram, MaterializePreservesCount) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) h.record(static_cast<double>(i % 10));
-  const common::Histogram m = h.materialize();
-  EXPECT_EQ(m.total(), 100u);
-}
-
-TEST(Histogram, ConcurrentRecordingLosesNothing) {
-  Histogram h(0.0, 4.0, 4);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) {
-        h.record(static_cast<double>(i % 4));
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(h.count(), static_cast<common::u64>(kThreads * kPerThread));
-  common::u64 in_buckets = 0;
-  for (common::usize i = 0; i < h.bucket_count(); ++i) {
-    in_buckets += h.bucket(i);
-  }
-  EXPECT_EQ(in_buckets, h.count());
-}
-
 TEST(MetricsRegistry, SameNameAndLabelsReturnsSameInstrument) {
   MetricsRegistry registry;
   Counter* a = registry.counter("x_total", "help", {{"task", "t1"}});
@@ -103,13 +55,13 @@ TEST(MetricsRegistry, DistinctTypesAreDistinctInstruments) {
   MetricsRegistry registry;
   registry.counter("a_total", "c");
   registry.gauge("b", "g");
-  registry.histogram("h", "h", 0.0, 1.0, 4);
+  registry.hdr_histogram("h", "h");
   EXPECT_EQ(registry.size(), 3u);
   int counters = 0, gauges = 0, histograms = 0;
   for (const auto& e : registry.entries()) {
     counters += e.counter != nullptr;
     gauges += e.gauge != nullptr;
-    histograms += e.histogram != nullptr;
+    histograms += e.hdr != nullptr;
   }
   EXPECT_EQ(counters, 1);
   EXPECT_EQ(gauges, 1);

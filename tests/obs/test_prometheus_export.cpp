@@ -55,37 +55,35 @@ TEST(PrometheusExport, HeadersEmittedOncePerFamily) {
 
 TEST(PrometheusExport, HistogramBucketsAreCumulativeWithInf) {
   MetricsRegistry registry;
-  auto* h = registry.histogram("lat", "latency", 0.0, 30.0, 3);
-  h->record(5.0);    // bucket [0,10)
-  h->record(15.0);   // bucket [10,20)
-  h->record(25.0);   // bucket [20,30)
-  h->record(100.0);  // overflow: only visible at +Inf
+  auto* h = registry.hdr_histogram("lat", "latency");
+  h->record(common::u64{5});
+  h->record(common::u64{15});
+  h->record(common::u64{25});
+  h->record(common::u64{1000000});  // far above the rest: counted at +Inf
   const std::string text = render_prometheus(registry);
-  EXPECT_NE(text.find("lat_bucket{le=\"10\"} 1\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"20\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"30\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"5\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"15\"} 2\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"25\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 4\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_sum 145\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_sum 1000045\n"), std::string::npos);
   EXPECT_NE(text.find("lat_count 4\n"), std::string::npos);
   EXPECT_NE(text.find("# TYPE lat histogram\n"), std::string::npos);
 }
 
 TEST(PrometheusExport, UnderflowIsVisibleInLowestBucket) {
-  // Samples below the linear range must not vanish: the lowest bucket
-  // (le = lo) carries exactly the underflow count, and the cumulative
-  // counts above it include it.
+  // Samples below the range (a negative duration from a clock step) must
+  // not vanish: they clamp into the lowest bucket (le = 0), and the
+  // cumulative counts above it include them.
   MetricsRegistry registry;
-  auto* h = registry.histogram("lat", "latency", 10.0, 30.0, 2);
-  h->record(3.0);   // underflow
-  h->record(5.0);   // underflow
-  h->record(15.0);  // bucket [10,20)
+  auto* h = registry.hdr_histogram("lat", "latency");
+  h->record(-3.0);
+  h->record(-5.0);
+  h->record(15.0);
   const std::string text = render_prometheus(registry);
-  EXPECT_NE(text.find("lat_bucket{le=\"10\"} 2\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"20\"} 3\n"), std::string::npos);
-  EXPECT_NE(text.find("lat_bucket{le=\"30\"} 3\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"0\"} 2\n"), std::string::npos);
+  EXPECT_NE(text.find("lat_bucket{le=\"15\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("lat_bucket{le=\"+Inf\"} 3\n"), std::string::npos);
   EXPECT_NE(text.find("lat_count 3\n"), std::string::npos);
-  EXPECT_EQ(h->underflow(), 2u);
 }
 
 TEST(PrometheusExport, HdrHistogramRendersSparseCumulativeBuckets) {
@@ -123,7 +121,7 @@ TEST(PrometheusExport, EveryLineIsHeaderOrSample) {
   MetricsRegistry registry;
   registry.counter("c_total", "c")->add(1);
   registry.gauge("g", "g")->set(2.5);
-  registry.histogram("h", "h", 0.0, 10.0, 2, {{"task", "t"}})->record(1.0);
+  registry.hdr_histogram("h", "h", {{"task", "t"}})->record(1.0);
   for (const auto& line : lines_of(render_prometheus(registry))) {
     if (line.rfind("# ", 0) == 0) continue;
     // Sample lines end in " <value>" with a single space separator.

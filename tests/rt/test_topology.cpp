@@ -1,8 +1,8 @@
-#include "rt/topology.hpp"
+#include "common/topology.hpp"
 
 #include <gtest/gtest.h>
 
-namespace rtseed::rt {
+namespace rtseed::common {
 namespace {
 
 TEST(Topology, UniformShape) {
@@ -57,4 +57,4 @@ TEST(Topology, ToStringMentionsShape) {
 }
 
 }  // namespace
-}  // namespace rtseed::rt
+}  // namespace rtseed::common
