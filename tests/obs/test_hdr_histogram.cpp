@@ -1,6 +1,9 @@
 // HdrHistogram unit tests: empty/single-sample edge cases, exact merge of
 // per-thread instances, bucket geometry (log-linear, <= ~3.1% relative
-// width), and percentile accuracy/monotonicity.
+// width), and percentile accuracy/monotonicity.  The Histogram suite checks
+// the properties every histogram metric relies on — bucket placement,
+// bucket bounds, out-of-range samples, percentile estimates, concurrent
+// recording — on HdrHistogram, the registry's one histogram type.
 #include "obs/hdr_histogram.hpp"
 
 #include <gtest/gtest.h>
@@ -156,6 +159,93 @@ TEST(HdrHistogram, ConcurrentRecordLosesNothing) {
   EXPECT_EQ(h.count(), kThreads * kPerThread);
   EXPECT_EQ(h.min_value(), 0u);
   EXPECT_EQ(h.max_value(), kThreads * kPerThread - 1);
+}
+
+TEST(Histogram, RecordsIntoCorrectBuckets) {
+  HdrHistogram h;
+  h.record(u64{5});      // exact range: its own width-1 bucket
+  h.record(u64{1000});   // log-linear range
+  h.record(u64{12345});
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.bucket(5), 1u);
+  EXPECT_EQ(h.bucket(HdrHistogram::bucket_index(1000)), 1u);
+  EXPECT_EQ(h.bucket(HdrHistogram::bucket_index(12345)), 1u);
+  u64 in_buckets = 0;
+  for (common::usize i = 0; i < h.highest_bucket(); ++i) {
+    in_buckets += h.bucket(i);
+  }
+  EXPECT_EQ(in_buckets, 3u);
+}
+
+TEST(Histogram, UnderOverflow) {
+  // No configured range: a sample below zero lands in the lowest bucket and
+  // the largest u64 lands in the top bucket — neither is dropped.
+  HdrHistogram h;
+  h.record(-0.1);
+  h.record(1.0);
+  const u64 top = ~u64{0};
+  h.record(top);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.bucket(0), 1u);
+  EXPECT_EQ(h.bucket(1), 1u);
+  const auto top_index = HdrHistogram::bucket_index(top);
+  ASSERT_LT(top_index, HdrHistogram::kNumBuckets);
+  EXPECT_EQ(top_index, HdrHistogram::kNumBuckets - 1);
+  EXPECT_EQ(h.bucket(top_index), 1u);
+  EXPECT_LE(HdrHistogram::bucket_lo(top_index), top);
+  EXPECT_EQ(h.min_value(), 0u);
+  EXPECT_EQ(h.max_value(), top);
+  EXPECT_EQ(h.highest_bucket(), HdrHistogram::kNumBuckets);
+}
+
+TEST(Histogram, BucketBounds) {
+  // Width-1 buckets up to 64, then 32 buckets per octave of width 2^t.
+  EXPECT_EQ(HdrHistogram::bucket_lo(0), 0u);
+  EXPECT_EQ(HdrHistogram::bucket_hi(0), 1u);
+  EXPECT_EQ(HdrHistogram::bucket_lo(63), 63u);
+  EXPECT_EQ(HdrHistogram::bucket_hi(63), 64u);
+  EXPECT_EQ(HdrHistogram::bucket_lo(64), 64u);
+  EXPECT_EQ(HdrHistogram::bucket_hi(64), 66u);
+  EXPECT_EQ(HdrHistogram::bucket_lo(96), 128u);
+  EXPECT_EQ(HdrHistogram::bucket_hi(96), 132u);
+  // Buckets tile the line: each starts where the previous one ends.
+  for (common::usize i = 1; i < 40 * HdrHistogram::kSubBucketCount; ++i) {
+    ASSERT_EQ(HdrHistogram::bucket_lo(i), HdrHistogram::bucket_hi(i - 1))
+        << i;
+  }
+}
+
+TEST(Histogram, PercentileEstimate) {
+  HdrHistogram h;
+  for (u64 v = 0; v < 100; ++v) h.record(v);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 50.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.9)), 89.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.0)), 0.0, 1.0);
+}
+
+TEST(Histogram, ConcurrentRecordingLosesNothing) {
+  HdrHistogram h;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10000;
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h] {
+      for (int i = 0; i < kPerThread; ++i) {
+        h.record(static_cast<u64>(i % 4));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(h.count(), static_cast<u64>(kThreads * kPerThread));
+  u64 in_buckets = 0;
+  for (common::usize i = 0; i < h.highest_bucket(); ++i) {
+    in_buckets += h.bucket(i);
+  }
+  EXPECT_EQ(in_buckets, h.count());
+  for (common::usize i = 0; i < 4; ++i) {
+    EXPECT_EQ(h.bucket(i), static_cast<u64>(kThreads * kPerThread / 4)) << i;
+  }
 }
 
 }  // namespace
