@@ -30,10 +30,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/time.hpp"
 #include "core/termination.hpp"
+#include "host_info.hpp"
 #include "lob/book.hpp"
 #include "lob/flow.hpp"
 #include "obs/hotpath_audit.hpp"
@@ -323,8 +323,6 @@ int main(int argc, char** argv) {
   }
 
   const bool hook = obs::alloc_hook_installed();
-  const int cpus =
-      static_cast<int>(std::thread::hardware_concurrency());
 
   const ApplyResult apply = bench_apply(apply_events);
   std::printf("[apply]    %ld events: %.1f ns/event, %.0f events/s, "
@@ -363,7 +361,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"micro_lob\",\n");
-    std::fprintf(f, "  \"host\": {\"cpus\": %d},\n", cpus);
+    std::fprintf(f, "  \"host\": {%s},\n",
+                 rtseed::bench::host_fields().c_str());
     std::fprintf(f, "  \"alloc_hook\": %s,\n", hook ? "true" : "false");
     std::fprintf(f, "  \"steady_state_allocs\": %ld,\n", steady_allocs);
     std::fprintf(f,

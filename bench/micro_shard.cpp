@@ -33,6 +33,7 @@
 
 #include "common/time.hpp"
 #include "common/topology.hpp"
+#include "host_info.hpp"
 #include "obs/hotpath_audit.hpp"
 #include "sched/sharded.hpp"
 #include "shard/sharded_runtime.hpp"
@@ -363,7 +364,7 @@ int main(int argc, char** argv) {
 
   std::printf("=== micro_shard: sharded runtimes over the transport ===\n\n");
 
-  const int cpus = common::Topology::native().num_cores();
+  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
   constexpr long kNativeTicks = 100'000;
   const double one = native_ticks_per_s(1, kNativeTicks);
   const double two = native_ticks_per_s(2, kNativeTicks);
@@ -404,7 +405,8 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"micro_shard\",\n");
-    std::fprintf(f, "  \"host\": {\"cpus\": %d},\n", cpus);
+    std::fprintf(f, "  \"host\": {%s},\n",
+                 rtseed::bench::host_fields().c_str());
     std::fprintf(f, "  \"alloc_hook\": %s,\n", hook ? "true" : "false");
     std::fprintf(f, "  \"steady_state_allocs\": %ld,\n", cal.allocs);
     std::fprintf(f, "  \"hop_ns\": %.1f,\n", cal.hop_ns);

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/rt_logger.hpp"
+#include "core/spin_rule.hpp"
 #include "fault/injector.hpp"
 #include "obs/flight_recorder.hpp"
 #include "rt/futex.hpp"
@@ -61,6 +62,8 @@ ImpreciseTask::ImpreciseTask(common::TaskId id, TaskConfig config,
   pool_options.completion_margin = options_.completion_margin;
   pool_options.wake_backend = options_.wake_backend;
   pool_options.repair_signal_mask = options_.repair_signal_mask;
+  // One round per job: the workers wake ahead of the next one.
+  pool_options.period = config_.params.period;
   pool_ = std::make_unique<OptionalPool>(
       std::move(pool_options),
       [this](const JobContext& ctx, int part, StopToken& token) {
@@ -175,7 +178,11 @@ void ImpreciseTask::mandatory_loop() {
     }
   }
 
-  rt::PeriodicClock clock(config_.params.period, options_.initial_offset);
+  // Sleep until just before each release and spin into it
+  // (spin_rule::release_lead): the release lag is a poll, not a wake-up.
+  const Nanos lead = spin_rule::release_lead(rt::rt_capabilities().num_cpus);
+  rt::PeriodicClock clock(config_.params.period, options_.initial_offset,
+                          lead);
   clock.start();
 
   // num_jobs counts EXECUTED jobs (the paper: "the number of jobs

@@ -7,7 +7,8 @@
 // Per-job protocol (exactly the paper's sequence):
 //   mandatory thread                     optional thread k
 //   ---------------------------------   ------------------------------
-//   clock_nanosleep until release
+//   clock_nanosleep until release − ε,
+//   spin to release
 //   execMandatory()
 //   cond_signal each optional  ──────▶  cond_wait returns
 //   cond_wait (completion)              sigsetjmp / arm OD timer
@@ -19,7 +20,9 @@
 //
 // If the mandatory part has not completed by the optional deadline, the
 // optional parts are DISCARDED (never signalled) and the wind-up part runs
-// immediately — Fig. 1 / §II-B.  The optional-thread machinery lives in
+// immediately — Fig. 1 / §II-B.  ε is spin_rule::kReleaseLead; the
+// optional threads wake the same lead ahead of their predicted signal
+// (OptionalPool, pre-wake).  The optional-thread machinery lives in
 // OptionalPool (shared with the multi-phase task of the practical
 // imprecise computation model).
 #pragma once

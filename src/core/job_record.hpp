@@ -55,8 +55,11 @@ struct JobRecord {
   Nanos delta_b() const {
     return optionals_ran ? signal_end - signal_start : 0;
   }
+  /// The switch to the first optional part; 0 when that part started
+  /// before the signal loop ended (a worker polling for its command
+  /// pays no switch).
   Nanos delta_s() const {
-    return (optionals_ran && first_optional_start > 0)
+    return (optionals_ran && first_optional_start > signal_end)
                ? first_optional_start - signal_end
                : 0;
   }

@@ -136,12 +136,14 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
                      std::memory_order_relaxed);
     local_parts_.store(local_parts, std::memory_order_relaxed);
     result.signal_start = common::monotonic_now();
+    const Nanos next_signal = predict_next_signal(ctx, result.signal_start);
     bool any_parked = false;
     for (int k = 0; k < count; ++k) {
       auto& slot = slots_[static_cast<size_t>(k)];
       slot.job = ctx;
       slot.signaller_cpu = caller_cpu;
       slot.signalled_at = result.signal_start;
+      slot.next_signal = next_signal;
       slot.force_flag.store(false, std::memory_order_relaxed);
       // One relaxed publish + release-exchange per part; wake syscalls
       // are skipped when the worker is still spinning (cmd was kCmdIdle).
@@ -261,6 +263,28 @@ OptionalPool::RoundResult OptionalPool::run_round(const JobContext& ctx,
   return result;
 }
 
+Nanos OptionalPool::predict_next_signal(const JobContext& ctx,
+                                        Nanos signal_start) {
+  if (options_.period <= 0) return 0;
+  // m̂ follows the median of the offset one step per round, so a round
+  // delayed by a host stall moves it by one step, not by the stall.  A
+  // release that is not in this period (a caller without one) is no
+  // sample.
+  constexpr Nanos kStep = common::micros(1);
+  const Nanos offset = signal_start - ctx.release;
+  if (offset >= 0 && offset < options_.period) {
+    if (signal_offset_ < 0) {
+      signal_offset_ = offset;
+    } else if (offset > signal_offset_) {
+      signal_offset_ += kStep;
+    } else if (offset < signal_offset_) {
+      signal_offset_ -= kStep;
+    }
+  }
+  return signal_offset_ < 0 ? 0
+                            : ctx.release + options_.period + signal_offset_;
+}
+
 bool OptionalPool::wait_completion_word(Nanos abs_deadline) {
   bool advertised = false;
   for (;;) {
@@ -312,37 +336,70 @@ void OptionalPool::force_parts(int count) {
   }
 }
 
-std::uint32_t OptionalPool::wait_for_command(Slot& slot, Nanos spin) {
+std::uint32_t OptionalPool::wait_for_command(Slot& slot, Nanos spin,
+                                             Nanos wake_at) {
   std::uint32_t cmd = kCmdIdle;
-  spin_rule::spin_until(spin, [&] {
-    cmd = slot.cmd.load(std::memory_order_acquire);
-    return cmd != kCmdIdle;
-  });
-  if (cmd != kCmdIdle) return cmd;
-  // Commit to sleeping.  If the signaller's exchange lands between this
-  // CAS and the FUTEX_WAIT, the command re-check below sees it.  Only this
-  // worker ever stores kCmdIdle/kCmdParked, so a failed CAS or a changed
-  // word means kCmdReady or kCmdShutdown.
-  std::uint32_t expected = kCmdIdle;
-  if (!slot.cmd.compare_exchange_strong(expected, kCmdParked,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-    return expected;
-  }
-  // Sleep on the SHARED generation word.  Order is load-gen →
+  const auto poll = [&](Nanos budget) {
+    return spin_rule::spin_until(budget, [&] {
+      cmd = slot.cmd.load(std::memory_order_acquire);
+      return cmd != kCmdIdle;
+    });
+  };
+  // Commits to sleeping.  If the signaller's exchange lands between this
+  // CAS and the FUTEX_WAIT, the command re-check in sleep() sees it.  Only
+  // this worker ever stores kCmdIdle/kCmdParked, so a failed CAS means
+  // kCmdReady or kCmdShutdown, left in `cmd`.
+  const auto park = [&] {
+    std::uint32_t expected = kCmdIdle;
+    if (slot.cmd.compare_exchange_strong(expected, kCmdParked,
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire)) {
+      return true;
+    }
+    cmd = expected;
+    return false;
+  };
+  // Sleeps on the SHARED generation word until a command arrives (true)
+  // or `deadline` passes (false; < 0 = never).  Order is load-gen →
   // re-check-cmd → wait: the signaller publishes commands before bumping
   // the generation, so seeing the new generation implies seeing our
   // command, and a bump between our generation load and the FUTEX_WAIT
   // bounces off the kernel's revalidation.  No interleaving leaves us
-  // asleep with a command pending.
-  for (;;) {
-    const std::uint32_t gen = wake_gen_.load(std::memory_order_acquire);
-    cmd = slot.cmd.load(std::memory_order_acquire);
-    if (cmd != kCmdParked) return cmd;
-    rt::wait_word(wake_gen_, gen);
-    // Woken (possibly for a round that signals other parts only) —
-    // re-check our command against the NEW generation.
+  // asleep with a command pending.  A wake for a round that signals other
+  // parts only re-checks our command against the NEW generation.
+  const auto sleep = [&](Nanos deadline) {
+    for (;;) {
+      const std::uint32_t gen = wake_gen_.load(std::memory_order_acquire);
+      cmd = slot.cmd.load(std::memory_order_acquire);
+      if (cmd != kCmdParked) return true;
+      if (deadline < 0) {
+        rt::wait_word(wake_gen_, gen);
+      } else if (!rt::wait_word_until(wake_gen_, gen, deadline)) {
+        return false;
+      }
+    }
+  };
+
+  if (poll(spin)) return cmd;
+  if (wake_at > 0) {
+    // A periodic gap: sleep until just before the predicted command, then
+    // withdraw the parked state (the signaller then skips the wake
+    // syscall) and poll through the window around the prediction.
+    if (common::monotonic_now() < wake_at) {
+      if (!park() || sleep(wake_at)) return cmd;
+      std::uint32_t expected = kCmdParked;
+      if (!slot.cmd.compare_exchange_strong(expected, kCmdIdle,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+        return expected;
+      }
+    }
+    if (poll(wake_at + spin_rule::kPrewakeSpin - common::monotonic_now())) {
+      return cmd;
+    }
   }
+  if (park()) sleep(-1);
+  return cmd;
 }
 
 void OptionalPool::execute_part(Slot& slot, int part, const JobContext& job,
@@ -439,7 +496,8 @@ void OptionalPool::thread_main(int part) {
     bool on_signaller_cpu = false;
     if (backend_ != WakeBackend::kCondvar) {
       const Nanos waiting_since = common::monotonic_now();
-      const std::uint32_t cmd = wait_for_command(slot, slot.worker_spin);
+      const std::uint32_t cmd =
+          wait_for_command(slot, slot.worker_spin, slot.wake_at);
       if (cmd == kCmdShutdown) return;
       // Chaos: the worker dies with the command UNCONSUMED (cmd stays
       // kCmdReady, the countdown undecremented) — the worst spot to die.
@@ -451,6 +509,8 @@ void OptionalPool::thread_main(int part) {
       on_signaller_cpu = slot.signaller_cpu == own_cpu;
       slot.worker_spin = spin_rule::worker_spin(
           online_cpus(), on_signaller_cpu, slot.signalled_at - waiting_since);
+      slot.wake_at = spin_rule::worker_wake_at(online_cpus(), on_signaller_cpu,
+                                               slot.next_signal);
       // Reset before the completion decrement below: once the round
       // completes the signaller may immediately publish the next one and
       // its exchange must find kCmdIdle, not a stale kCmdReady.

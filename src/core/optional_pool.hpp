@@ -40,7 +40,18 @@
 //     CPU has not ended (the last such part wakes it to spin for the
 //     rest), a worker parks at once when it shares the signaller's CPU,
 //     and a worker whose previous command came later than its spin
-//     budget (a periodic task's next job) parks at once too.
+//     budget parks at once too.
+//
+//     Rounds of a periodic task (Options::period > 0) are pre-woken.
+//     Each round the signaller publishes, per slot, when it predicts the
+//     next signal: release + period + m̂, where m̂ tracks the median of
+//     (signal time − release).  A worker off the signaller's CPU then
+//     waits in four steps: a timed sleep on the generation word until
+//     the prediction − spin_rule::kReleaseLead; a CAS kCmdParked →
+//     kCmdIdle that withdraws its parked state (so the signaller skips
+//     the wake syscall); a poll of its command word for at most
+//     spin_rule::kPrewakeSpin; then the untimed park.  A command that
+//     lands during any step is taken at once.
 //
 //   kCondvar — the paper-verbatim per-slot mutex+condvar protocol (one
 //     notify per part, never broadcast — paper §IV-C), kept compiled as
@@ -104,6 +115,10 @@ class OptionalPool : public fault::SupervisedPool {
     /// Repair the blocked-signal defect of kTryCatch terminations
     /// (TerminationOptions::repair_signal_mask; OFF = paper-faithful).
     bool repair_signal_mask = true;
+    /// Period of the rounds: the owning task's Tᵢ, one round per job.
+    /// Workers wake ahead of the predicted next round; 0 = rounds come
+    /// back to back (a multi-phase job's phases) and nothing is predicted.
+    Nanos period = 0;
     /// Capacity of each slot's scratch Arena (JobContext::scratch),
     /// reserved once at pool construction and reset (no frees) before
     /// every part.  0 disables scratch (ctx.scratch == nullptr).
@@ -210,6 +225,9 @@ class OptionalPool : public fault::SupervisedPool {
     /// round's signal start, inputs of the worker's spin rule.
     common::CpuId signaller_cpu = common::kInvalidCpu;
     Nanos signalled_at = 0;
+    /// Published with `job`: when the signaller expects to signal this
+    /// slot next (0 = no prediction, Options::period == 0).
+    Nanos next_signal = 0;
     /// Observed by this part's StopToken (bind_force_flag); written by
     /// the mandatory thread's force-after-margin path.
     std::atomic<bool> force_flag{false};
@@ -230,6 +248,9 @@ class OptionalPool : public fault::SupervisedPool {
     /// spins for its next command (spin_rule::worker_spin), decided when
     /// it consumed the previous one.  0 = park at once (also at start-up).
     Nanos worker_spin = 0;
+    /// Worker-owned: when the worker stops sleeping ahead of its next
+    /// command (spin_rule::worker_wake_at); 0 = sleep until woken.
+    Nanos wake_at = 0;
 
     /// Per-part scratch handed to the body via JobContext::scratch.
     /// Reserved once at pool construction, reset() (one store) per part —
@@ -249,8 +270,12 @@ class OptionalPool : public fault::SupervisedPool {
   /// holds lifecycle_mutex_ (or is single-threaded setup).
   void spawn_worker_locked(int part);
   /// Blocks until cmd != kIdle/kParked, spinning at most `spin` ns before
-  /// it parks; returns kCmdReady or kCmdShutdown.
-  std::uint32_t wait_for_command(Slot& slot, Nanos spin);
+  /// it parks, and pre-woken at `wake_at` when that is non-zero (see the
+  /// header comment); returns kCmdReady or kCmdShutdown.
+  std::uint32_t wait_for_command(Slot& slot, Nanos spin, Nanos wake_at);
+  /// Signaller side of the pre-wake: updates m̂ from this round and
+  /// returns the predicted time of the next one (0 = none).
+  Nanos predict_next_signal(const JobContext& ctx, Nanos signal_start);
   /// The one batched wake (kFutexBatch): bumps the generation so a worker
   /// between its generation load and FUTEX_WAIT entry cannot sleep past
   /// us, then wakes every sleeper with a single syscall.  Callers publish
@@ -298,6 +323,9 @@ class OptionalPool : public fault::SupervisedPool {
   alignas(common::kCacheLine) std::atomic<Nanos> first_part_start_{0};
   alignas(common::kCacheLine) std::atomic<long> body_errors_{0};
   alignas(common::kCacheLine) std::atomic<long> wake_retries_{0};
+  /// Signaller-owned m̂: the running median of (signal time − release)
+  /// behind the next-signal prediction; < 0 until the first round.
+  Nanos signal_offset_ = -1;
 
   // kCondvar backend completion state.
   rt::MonotonicCond completion_cv_;

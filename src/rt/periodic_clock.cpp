@@ -5,6 +5,7 @@
 #include <ctime>
 
 #include "fault/injector.hpp"
+#include "rt/futex.hpp"
 
 namespace rtseed::rt {
 
@@ -21,9 +22,10 @@ void sleep_for(Nanos duration) {
   sleep_until(common::monotonic_now() + duration);
 }
 
-PeriodicClock::PeriodicClock(Nanos period, Nanos initial_offset)
-    : period_(period), initial_offset_(initial_offset) {
+PeriodicClock::PeriodicClock(Nanos period, Nanos initial_offset, Nanos lead)
+    : period_(period), initial_offset_(initial_offset), lead_(lead) {
   assert(period > 0);
+  assert(lead >= 0);
 }
 
 void PeriodicClock::start() {
@@ -60,7 +62,8 @@ Nanos PeriodicClock::wait_next_release() {
     ++job_index_;
     ++overruns_;
   }
-  if (next_release_ > now) sleep_until_checked(next_release_);
+  if (next_release_ - lead_ > now) sleep_until_checked(next_release_ - lead_);
+  while (common::monotonic_now() < next_release_) cpu_relax();
   current_release_ = next_release_;
   next_release_ += period_;
   ++job_index_;

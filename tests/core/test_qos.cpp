@@ -40,6 +40,17 @@ TEST(JobRecord, DeltaAccessors) {
   EXPECT_EQ(rec.delta_e(), micros(200));
 }
 
+// A pre-woken worker can take its command while the signal loop still
+// runs: its part starts before signal_end.  Δs is then 0, never negative
+// (the telemetry histograms record it unsigned).
+TEST(JobRecord, DeltaSIsZeroWhenThePartStartsInsideTheSignalLoop) {
+  auto rec = make_record(0, true);
+  rec.first_optional_start = rec.signal_end - micros(2);
+  EXPECT_EQ(rec.delta_s(), 0);
+  rec.first_optional_start = rec.signal_end;
+  EXPECT_EQ(rec.delta_s(), 0);
+}
+
 TEST(JobRecord, DeltasZeroWhenOptionalsDiscarded) {
   const auto rec = make_record(0, false);
   EXPECT_EQ(rec.delta_b(), 0);

@@ -87,5 +87,31 @@ TEST(FaultTsanEintr, PeriodicClockJumpNeverReleasesEarly) {
   EXPECT_LE(clock.clock_anomalies(), 3L);  // one per injected early return
 }
 
+// The same with a release lead: the early returns land before the spin
+// window, are re-slept, and the spin never ends before the release.
+TEST(FaultTsanEintr, PeriodicClockJumpWithLeadNeverReleasesEarly) {
+  InjectorConfig config;
+  config.with_rate(InjectPoint::kClockJump, 1.0);
+  config.max_fires_per_point = 3;
+  config.jump_ns = millis(5);
+  ScopedInjector scoped(config);
+
+  rt::PeriodicClock clock(millis(20), millis(5), common::micros(20));
+  clock.start();
+  Nanos first = 0;
+  Nanos last = 0;
+  for (int n = 0; n < 5; ++n) {
+    const Nanos release = clock.wait_next_release();
+    EXPECT_GE(monotonic_now(), release);
+    if (n == 0) first = release;
+    last = release;
+  }
+  // Releases stay on the period grid: 4 periods apart, plus one per
+  // release a stall made the clock skip.
+  EXPECT_EQ(last - first, (4 + clock.overruns()) * millis(20));
+  EXPECT_GE(clock.clock_anomalies(), 1L);
+  EXPECT_LE(clock.clock_anomalies(), 3L);
+}
+
 }  // namespace
 }  // namespace rtseed::fault

@@ -5,6 +5,7 @@
 namespace rtseed::rt {
 namespace {
 
+using common::micros;
 using common::millis;
 using common::monotonic_now;
 using common::Nanos;
@@ -74,6 +75,31 @@ TEST(PeriodicClock, WaitReturnsNonDecreasingReleases) {
     EXPECT_GT(r, prev);
     prev = r;
   }
+}
+
+// With a lead the clock sleeps until release − lead and spins the rest:
+// it must still never return before the release, and the releases it
+// returns stay exactly one period apart (a host stall that skips a
+// release makes that gap a whole number of periods, counted in
+// overruns()).
+TEST(PeriodicClock, LeadNeverReturnsBeforeTheRelease) {
+  constexpr Nanos kPeriod = millis(2);
+  PeriodicClock clock(kPeriod, millis(1), micros(20));
+  clock.start();
+  constexpr int kReleases = 20;
+  Nanos first = 0;
+  Nanos prev = 0;
+  for (int i = 0; i < kReleases; ++i) {
+    const Nanos r = clock.wait_next_release();
+    EXPECT_GE(monotonic_now(), r) << "release " << i;
+    if (i == 0) first = r;
+    if (i > 0) {
+      EXPECT_EQ((r - prev) % kPeriod, 0) << "release " << i;
+    }
+    prev = r;
+  }
+  EXPECT_EQ(prev - first, (kReleases - 1 + clock.overruns()) * kPeriod);
+  EXPECT_EQ(clock.clock_anomalies(), 0);
 }
 
 }  // namespace
